@@ -43,7 +43,7 @@ void BM_PolicyForward(benchmark::State& state) {
     ad::Tape tape;
     ad::Tensor lp = s.net.policy_log_probs(tape, s.graph.normalized_adjacency,
                                            s.features, s.mask);
-    benchmark::DoNotOptimize(tape.value(lp)(0, 0));
+    benchmark::DoNotOptimize(tape.data(lp)[0]);
   }
 }
 BENCHMARK(BM_PolicyForward)->Arg(0)->Arg(2)->Arg(4)->Unit(benchmark::kMicrosecond);
@@ -66,7 +66,7 @@ void BM_CriticForward(benchmark::State& state) {
   for (auto _ : state) {
     ad::Tape tape;
     ad::Tensor v = s.net.value(tape, s.graph.normalized_adjacency, s.features);
-    benchmark::DoNotOptimize(tape.value(v)(0, 0));
+    benchmark::DoNotOptimize(tape.data(v)[0]);
   }
 }
 BENCHMARK(BM_CriticForward)->Arg(0)->Arg(4)->Unit(benchmark::kMicrosecond);

@@ -106,7 +106,7 @@ double tape_forwards_per_sec(nn::ActorCritic& net, const GraphCase& c,
     ad::Tensor lp =
         net.policy_log_probs(tape, c.env->adjacency(), c.features, c.mask);
     ad::Tensor v = net.value(tape, c.env->adjacency(), c.features);
-    sink = tape.value(lp).at(0, 0) + tape.value(v).at(0, 0);
+    sink = tape.data(lp)[0] + tape.data(v)[0];
   });
 }
 
@@ -178,7 +178,7 @@ int main(int argc, char** argv) {
       ad::Tensor lp =
           net.policy_log_probs(tape, c.env->adjacency(), c.features, c.mask);
       ad::Tensor v = net.value(tape, c.env->adjacency(), c.features);
-      sink = tape.value(lp).at(0, 0) + tape.value(v).at(0, 0);
+      sink = tape.data(lp)[0] + tape.data(v)[0];
     }
   };
   const double tape_loop_per_sec = best_rate(batch_iters, kBatch,

@@ -30,6 +30,7 @@ void Adam::step() {
       const double v_hat = v / bc2;
       p->value.flat()[i] -= config_.learning_rate * m_hat / (std::sqrt(v_hat) + config_.epsilon);
     }
+    ++p->version;
   }
 }
 

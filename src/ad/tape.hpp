@@ -1,4 +1,4 @@
-// Tape-based reverse-mode automatic differentiation over la::Matrix.
+// Tape-based reverse-mode automatic differentiation.
 //
 // A Tape records every operation of a forward pass; Tensor is a cheap
 // handle (an index into the tape). backward(root) runs the recorded
@@ -7,17 +7,25 @@
 // and finally accumulates gradients of registered parameters into their
 // Parameter::grad fields.
 //
+// Storage: node values, gradients and adjoint scratch live in one bump
+// arena (la::Arena) that clear() rewinds and keeps, so a tape reused
+// across passes of the same shape stops allocating after the first one.
+// Parameters are leaves BY REFERENCE: the tape reads Parameter::value in
+// place until backward(), so the parameter must not change in between
+// (checks-on builds assert this through Parameter::version). Products
+// and their adjoints run on la/kernels.
+//
 // The op set is exactly what the NeuroPlan networks need (GCN per
 // Eq. 7 of the paper + MLP actor/critic + masked categorical policy);
 // each op's gradient is verified against finite differences in tests.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "ad/parameter.hpp"
+#include "la/arena.hpp"
 #include "la/matrix.hpp"
 #include "la/sparse.hpp"
 
@@ -40,17 +48,23 @@ class Tape {
   /// Number of recorded nodes.
   std::size_t size() const { return nodes_.size(); }
 
-  /// Drop all recorded nodes (start a fresh forward pass).
+  /// Drop all recorded nodes (start a fresh forward pass). Keeps the
+  /// storage for the next pass.
   void clear();
 
   // ---- graph inputs ----
 
-  /// Record a constant (no gradient flows into it).
-  Tensor constant(la::Matrix value);
+  /// Record a constant (no gradient flows into it). The value is copied.
+  Tensor constant(const la::Matrix& value);
 
-  /// Record a trainable parameter as a leaf. The same Parameter may be
-  /// registered many times per tape (e.g. once per RL step); backward()
-  /// sums all contributions into param.grad.
+  /// Record a 1 x 1 constant.
+  Tensor scalar(double value);
+
+  /// Record a trainable parameter as a leaf, by reference: param.value
+  /// is read in place until backward() and must not change before it.
+  /// The same Parameter may be registered many times per tape (e.g.
+  /// once per RL step); each leaf keeps its own gradient, and backward()
+  /// adds them into param.grad in registration order.
   Tensor parameter(Parameter& param);
 
   // ---- elementwise / structural ops ----
@@ -66,7 +80,7 @@ class Tape {
   Tensor matmul(Tensor a, Tensor b);
 
   /// Sparse-constant times dense-variable: adjacency @ features. The
-  /// adjacency is shared, not copied, per call.
+  /// tape holds the adjacency until clear(); it is not copied.
   Tensor spmm(std::shared_ptr<const la::CsrMatrix> lhs, Tensor rhs);
 
   /// Broadcast-add a 1 x c bias row to every row of an n x c matrix.
@@ -116,30 +130,98 @@ class Tape {
                        double leaky_slope = 0.2);
 
   // ---- access ----
-  const la::Matrix& value(Tensor t) const { return nodes_[t.index].value; }
-  const la::Matrix& grad(Tensor t) const { return nodes_[t.index].grad; }
+  std::size_t rows(Tensor t) const { return nodes_[t.index].rows; }
+  std::size_t cols(Tensor t) const { return nodes_[t.index].cols; }
+  /// Row-major value, valid until clear(). The hot-path accessor.
+  const double* data(Tensor t) const { return nodes_[t.index].value; }
+  /// A copy of the value (tests and cold paths).
+  la::Matrix value(Tensor t) const;
+  /// A copy of the gradient; empty before backward() or when the node
+  /// needs no gradient.
+  la::Matrix grad(Tensor t) const;
 
   /// Reverse pass from a 1 x 1 root. Seeds d(root)=1, propagates through
   /// the tape, then adds each parameter leaf's gradient into its
   /// Parameter::grad. Callable once per forward pass.
   void backward(Tensor root);
 
+  // ---- storage (steady-state tests) ----
+  /// Heap allocations the node arena has made since construction.
+  long arena_reallocations() const { return arena_.reallocations(); }
+  /// Bytes the tape keeps across clear(): arena plus bookkeeping.
+  std::size_t reserved_bytes() const;
+
  private:
-  struct Node {
-    la::Matrix value;
-    la::Matrix grad;
-    // Adjoint: given this node's grad, scatter into parents' grads.
-    std::function<void(Tape&, const Node&)> backward_fn;
-    bool needs_grad = false;
+  enum class Op : std::uint8_t {
+    kConstant,
+    kParameter,
+    kAdd,
+    kSub,
+    kScale,
+    kHadamard,
+    kRelu,
+    kSquare,
+    kExp,
+    kMatmul,
+    kSpmm,
+    kAddRowBroadcast,
+    kMeanRows,
+    kSliceRows,
+    kMeanRowsSegments,
+    kFlatten,
+    kSum,
+    kPick,
+    kMaskedLogSoftmax,
+    kEntropy,
+    kGatAggregate,
   };
 
-  Tensor emit(la::Matrix value, bool needs_grad,
-              std::function<void(Tape&, const Node&)> backward_fn);
-  Node& node(Tensor t) { return nodes_[t.index]; }
-  la::Matrix& grad_ref(std::uint32_t index) { return nodes_[index].grad; }
+  /// One recorded op. Value, grad and `saved` point into the arena (a
+  /// parameter leaf's value into its Parameter); `in` are parent
+  /// indices; `scalar`, `aux` and `extra` are op-specific.
+  struct Node {
+    const double* value = nullptr;
+    double* grad = nullptr;  ///< allocated by backward()
+    std::size_t rows = 0;
+    std::size_t cols = 0;
+    std::uint32_t in[3] = {0, 0, 0};
+    Op op = Op::kConstant;
+    bool needs_grad = false;
+    double scalar = 0.0;            ///< scale factor, 1/n, leaky slope
+    std::size_t aux = 0;            ///< slice begin, segment, picked offset
+    const void* extra = nullptr;    ///< CSR lhs, neighbor lists, mask bytes
+    const double* saved = nullptr;  ///< softmax probs, attention weights
+    std::size_t size() const { return rows * cols; }
+  };
+
+  struct Leaf {
+    std::uint32_t index;
+    Parameter* param;
+    std::uint64_t version;  ///< param->version at registration
+  };
+
+  static Node make_node(Op op, std::size_t rows, std::size_t cols,
+                        const double* value, bool needs_grad);
+  Tensor emit(const Node& node);
+  const Node& node(Tensor t) const { return nodes_[t.index]; }
+  double* alloc(std::size_t count) { return arena_.alloc_doubles(count); }
+  /// Keep `owner` alive until clear() (adjacency, neighbor lists).
+  template <class T>
+  void hold(const std::shared_ptr<T>& owner) {
+    if (held_.empty() || held_.back().get() != owner.get()) held_.emplace_back(owner);
+  }
+  /// Transpose of a node value. A parameter's is cached for one
+  /// backward() (a weight is transposed once, not once per step).
+  const double* transposed(const Node& n);
+  /// Scatter this node's gradient into its parents' gradients.
+  void backward_node(const Node& n);
 
   std::vector<Node> nodes_;
-  std::vector<std::pair<std::uint32_t, Parameter*>> param_leaves_;
+  std::vector<Leaf> leaves_;
+  std::vector<std::shared_ptr<const void>> held_;
+  std::vector<std::pair<const double*, const double*>> transposes_;
+  double* scratch_ = nullptr;  ///< adjoint product buffer of one backward()
+  la::Arena arena_;
 };
 
 }  // namespace np::ad

@@ -22,7 +22,9 @@ void Arena::add_chunk(std::size_t bytes) {
   // alignof(max_align_t), so allocate slack and round the base up in
   // alloc_aligned (the stored pointer is the raw allocation).
   chunk.size = align_up(bytes) + kAlignment;
-  chunk.data = std::make_unique<std::uint8_t[]>(chunk.size);
+  // Not zero-filled: pages the arena never hands out stay untouched,
+  // so capacity beyond the high-water mark costs no resident memory.
+  chunk.data = std::make_unique_for_overwrite<std::uint8_t[]>(chunk.size);
   capacity_ += chunk.size;
   ++reallocations_;
   chunks_.push_back(std::move(chunk));
@@ -65,8 +67,8 @@ std::uint8_t* Arena::alloc_aligned(std::size_t bytes) {
       ++active_;
       continue;
     }
-    // Overflow: a fresh chunk keeps existing spans valid; the next
-    // reset() coalesces so steady state goes allocation-free again.
+    // Overflow: a fresh chunk keeps existing spans valid, and later
+    // passes reuse it after the chunks before it.
     add_chunk(std::max(need, capacity_));
     ++active_;
   }
@@ -79,16 +81,7 @@ double* Arena::alloc_doubles(std::size_t count) {
 std::uint8_t* Arena::alloc_bytes(std::size_t count) { return alloc_aligned(count); }
 
 void Arena::reset() {
-  if (chunks_.size() > 1) {
-    // Coalesce: one buffer sized to everything we ever handed out, so
-    // the next pass of the same shape fits without overflowing.
-    const std::size_t want = std::max(high_water_ + kAlignment, capacity_);
-    chunks_.clear();
-    capacity_ = 0;
-    add_chunk(want);
-  } else if (!chunks_.empty()) {
-    chunks_[0].offset = 0;
-  }
+  for (Chunk& chunk : chunks_) chunk.offset = 0;
   active_ = 0;
   used_ = 0;
 }

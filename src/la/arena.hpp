@@ -1,18 +1,20 @@
-// Bump allocator for inference intermediates (nn::InferenceEngine).
+// Bump allocator for pass-scoped intermediates (nn::InferenceEngine
+// activations and packed weights, ad::Tape node storage).
 //
-// An Arena hands out cache-line-aligned double/byte spans from one
-// preallocated chunk; reset() rewinds the cursor without releasing
-// memory, so a steady-state forward pass that stays within the
-// high-water mark of its warmup pass performs ZERO heap allocations.
-// Overflow mid-pass is handled without invalidating live pointers: the
-// overflowing request is served from a fresh chunk, and the next
-// reset() coalesces every chunk into one buffer sized to the high-water
-// mark — after which the arena is allocation-free again. The
-// `reallocations()` counter makes that warmup/steady-state boundary
+// An Arena hands out cache-line-aligned double/byte spans from its
+// chunks; reset() rewinds every chunk without releasing memory, so a
+// pass that fits the chunks earlier passes grew performs ZERO heap
+// allocations. Overflow mid-pass is handled without invalidating live
+// pointers: the overflowing request is served from a fresh chunk (at
+// least as large as all earlier chunks together), and later passes
+// walk the chunks in the same order. Chunks are never merged or freed
+// before the arena dies: re-allocating a merged copy would keep two
+// copies resident once the allocator has recycled the growth chunks
+// from its heap (it does, after the first large block is freed). The
+// `reallocations()` counter makes the warmup/steady-state boundary
 // testable (tests assert it stops moving).
 //
-// Not thread-safe; keep one Arena per owner (the inference engine runs
-// forwards on a single thread).
+// Not thread-safe; keep one Arena per owner.
 #pragma once
 
 #include <cstddef>
@@ -41,9 +43,7 @@ class Arena {
   /// `count` bytes, 64-byte aligned. Valid until the next reset().
   std::uint8_t* alloc_bytes(std::size_t count);
 
-  /// Rewind to empty, keeping capacity. If the previous pass
-  /// overflowed into extra chunks, they are coalesced into one buffer
-  /// here (the one place allocation can happen between passes).
+  /// Rewind to empty, keeping every chunk.
   void reset();
 
   /// Bytes handed out since the last reset() (aligned sizes).

@@ -1,14 +1,19 @@
-// Inference kernels: raw-pointer, allocation-free building blocks for
-// the tape-free forward path (nn::InferenceEngine).
+// Dense and sparse kernels: raw-pointer, allocation-free building
+// blocks for every network forward and backward — the tape's matmul,
+// spmm and their adjoints (ad::Tape) and the tape-free acting path
+// (nn::InferenceEngine). la::Matrix::matmul and CsrMatrix::multiply
+// call them too, so each product has one implementation.
 //
 // Every kernel accumulates each output element over its reduction
-// dimension in strictly ascending order — the same order la::Matrix
-// and ad::Tape use — so a fast-path forward is BIT-IDENTICAL to the
-// tape forward it replaces (the determinism suite relies on this; see
-// docs/INTERNALS.md §8). Speed comes from register blocking (4 output
-// rows share every B-panel load), cache tiling of the k/j loops,
-// row-chunked CSR SpMM, and fused bias+activation epilogues — not from
-// reassociating sums.
+// dimension in strictly ascending order, starting from +0.0, with a
+// separate multiply and add per term. So any two paths through these
+// kernels — the AVX2 tiles, the portable loops, tape or engine — give
+// BIT-IDENTICAL results (the determinism suite relies on this; see
+// docs/INTERNALS.md §8). Speed comes from register tiling (a 4 x 8
+// output block in eight AVX2 accumulators, chosen at run time from the
+// CPU), row-chunked CSR SpMM, and fused bias+activation epilogues — not
+// from reassociating sums. FMA is never enabled: a fused a*b+c rounds
+// once instead of twice and would change every digest.
 //
 // All outputs are caller-allocated (typically from an la::Arena);
 // kernels never touch the heap.
@@ -24,9 +29,19 @@ namespace np::la::kernels {
 enum class Activation { kNone, kRelu };
 
 /// out (n x m) = a (n x k) @ b (k x m), all row-major. `out` need not
-/// be initialized. Bit-identical to la::Matrix::matmul.
+/// be initialized and must not alias an input.
 void matmul(const double* a, std::size_t n, std::size_t k, const double* b,
             std::size_t m, double* out);
+
+/// out (k x m) = a^T @ g for a (n x k) and g (n x m), without building
+/// a^T: out(p, j) sums a(i, p) * g(i, j) over ascending i, so the
+/// result is bit-identical to transposing a and calling matmul. This is
+/// the weight gradient X^T G of a dense layer.
+void matmul_tn(const double* a, std::size_t n, std::size_t k, const double* g,
+               std::size_t m, double* out);
+
+/// out (cols x rows) = a^T for a (rows x cols).
+void transpose(const double* a, std::size_t rows, std::size_t cols, double* out);
 
 /// Fused linear layer: out = act(a @ b + bias), with `bias` a length-m
 /// row (nullptr = no bias). The epilogue applies bias then activation
@@ -35,9 +50,14 @@ void matmul_bias_act(const double* a, std::size_t n, std::size_t k,
                      const double* b, std::size_t m, const double* bias,
                      Activation act, double* out);
 
-/// out (rows x cols) = A (rows x ?) @ x, row-chunked CSR SpMM.
-/// Bit-identical to CsrMatrix::multiply (per-row nnz order ascending).
+/// out (rows x cols) = A (rows x ?) @ x, row-chunked CSR SpMM
+/// (per-row nnz order ascending).
 void spmm(const CsrMatrix& a, const double* x, std::size_t cols, double* out);
+
+/// out (A.cols x cols) = A^T @ x for x (A.rows x cols): each output row
+/// sums its contributions in ascending row order of A. The adjoint of
+/// spmm.
+void spmm_tn(const CsrMatrix& a, const double* x, std::size_t cols, double* out);
 
 /// Elementwise max(x + bias, 0) over `n` rows of width `m` (the GCN
 /// layer epilogue when the product came from spmm-then-matmul).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "la/kernels.hpp"
 #include "util/check.hpp"
 
 namespace np::la {
@@ -102,42 +103,7 @@ Matrix Matrix::matmul(const Matrix& other) const {
                                 shape_string() + " vs " + other.shape_string());
   }
   Matrix out(rows_, other.cols_, 0.0);
-  // ikj order keeps the inner loop contiguous in both `other` and `out`;
-  // for operands past the tile sizes, blocking over k and j keeps the
-  // touched panel of `other` (tile_k x tile_j doubles) cache-resident
-  // across all rows. Both paths accumulate each out(i, j) in strictly
-  // ascending k order, so results are bit-identical regardless of shape.
-  constexpr std::size_t kTileK = 64;
-  constexpr std::size_t kTileJ = 128;
-  const std::size_t n = rows_, kd = cols_, m = other.cols_;
-  if (kd <= kTileK && m <= kTileJ) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* arow = data() + i * kd;
-      double* orow = out.data() + i * m;
-      for (std::size_t k = 0; k < kd; ++k) {
-        const double aik = arow[k];
-        const double* brow = other.data() + k * m;
-        for (std::size_t j = 0; j < m; ++j) orow[j] += aik * brow[j];
-      }
-    }
-    NP_CHECK_FINITE(out.data(), out.size(), "Matrix::matmul");
-    return out;
-  }
-  for (std::size_t jj = 0; jj < m; jj += kTileJ) {
-    const std::size_t jend = std::min(m, jj + kTileJ);
-    for (std::size_t kk = 0; kk < kd; kk += kTileK) {
-      const std::size_t kend = std::min(kd, kk + kTileK);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double* arow = data() + i * kd;
-        double* orow = out.data() + i * m;
-        for (std::size_t k = kk; k < kend; ++k) {
-          const double aik = arow[k];
-          const double* brow = other.data() + k * m;
-          for (std::size_t j = jj; j < jend; ++j) orow[j] += aik * brow[j];
-        }
-      }
-    }
-  }
+  kernels::matmul(data(), rows_, cols_, other.data(), other.cols_, out.data());
   NP_CHECK_FINITE(out.data(), out.size(), "Matrix::matmul");
   return out;
 }
@@ -154,12 +120,6 @@ Matrix Matrix::transposed() const {
   for (std::size_t r = 0; r < rows_; ++r) {
     for (std::size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
   }
-  return out;
-}
-
-Matrix Matrix::map(const std::function<double(double)>& fn) const {
-  Matrix out = *this;
-  for (double& x : out.data_) x = fn(x);
   return out;
 }
 

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <initializer_list>
 #include <stdexcept>
 #include <string>
@@ -59,16 +58,14 @@ class Matrix {
   Matrix operator*(double scalar) const;
   Matrix operator-() const;
 
-  /// Matrix product: (r x k) * (k x c) -> (r x c).
+  /// Matrix product: (r x k) * (k x c) -> (r x c), via
+  /// la::kernels::matmul (each entry summed in ascending k).
   Matrix matmul(const Matrix& other) const;
 
   /// Elementwise (Hadamard) product.
   Matrix hadamard(const Matrix& other) const;
 
   Matrix transposed() const;
-
-  /// Apply a scalar function elementwise, returning a new matrix.
-  Matrix map(const std::function<double(double)>& fn) const;
 
   /// Add a 1 x cols row vector to every row (broadcast bias add).
   Matrix add_row_broadcast(const Matrix& row) const;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "la/kernels.hpp"
 #include "util/check.hpp"
 
 namespace np::la {
@@ -49,14 +50,7 @@ Matrix CsrMatrix::multiply(const Matrix& dense) const {
     throw std::invalid_argument("CsrMatrix::multiply: dimension mismatch");
   }
   Matrix out(rows_, dense.cols(), 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double* orow = out.data() + r * dense.cols();
-    for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      const double v = values_[k];
-      const double* drow = dense.data() + col_indices_[k] * dense.cols();
-      for (std::size_t j = 0; j < dense.cols(); ++j) orow[j] += v * drow[j];
-    }
-  }
+  kernels::spmm(*this, dense.data(), dense.cols(), out.data());
   NP_CHECK_FINITE(out.data(), out.size(), "CsrMatrix::multiply");
   return out;
 }
@@ -66,14 +60,7 @@ Matrix CsrMatrix::multiply_transposed(const Matrix& dense) const {
     throw std::invalid_argument("CsrMatrix::multiply_transposed: dimension mismatch");
   }
   Matrix out(cols_, dense.cols(), 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* drow = dense.data() + r * dense.cols();
-    for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      const double v = values_[k];
-      double* orow = out.data() + col_indices_[k] * dense.cols();
-      for (std::size_t j = 0; j < dense.cols(); ++j) orow[j] += v * drow[j];
-    }
-  }
+  kernels::spmm_tn(*this, dense.data(), dense.cols(), out.data());
   NP_CHECK_FINITE(out.data(), out.size(), "CsrMatrix::multiply_transposed");
   return out;
 }

@@ -29,7 +29,7 @@ std::shared_ptr<const std::vector<std::vector<int>>> GatEncoder::neighbor_lists(
   {
     util::LockGuard lock(cache_mutex_);
     auto it = neighbor_cache_.find(adjacency.get());
-    if (it != neighbor_cache_.end()) return it->second;
+    if (it != neighbor_cache_.end()) return it->second.lists;
   }
   auto lists = std::make_shared<std::vector<std::vector<int>>>(adjacency->rows());
   for (std::size_t r = 0; r < adjacency->rows(); ++r) {
@@ -41,12 +41,12 @@ std::shared_ptr<const std::vector<std::vector<int>>> GatEncoder::neighbor_lists(
     }
   }
   util::LockGuard lock(cache_mutex_);
-  // Bound the cache: keyed by adjacency address, so long-lived encoders
-  // seeing many transient matrices would otherwise grow without limit
-  // (and a recycled address must not alias a stale entry list).
+  // Bound the cache: each entry keeps its adjacency alive, so long-lived
+  // encoders seeing many transient matrices hold at most 64 of them.
   if (neighbor_cache_.size() >= 64) neighbor_cache_.clear();
-  auto [it, inserted] = neighbor_cache_.emplace(adjacency.get(), std::move(lists));
-  return it->second;
+  auto [it, inserted] = neighbor_cache_.emplace(
+      adjacency.get(), NeighborEntry{adjacency, std::move(lists)});
+  return it->second.lists;
 }
 
 ad::Tensor GatEncoder::forward(ad::Tape& tape,

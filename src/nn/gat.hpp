@@ -41,13 +41,19 @@ class GatEncoder final : public GraphEncoder {
       const std::shared_ptr<const la::CsrMatrix>& adjacency)
       NP_EXCLUDES(cache_mutex_);
 
+  struct NeighborEntry {
+    /// Owning the adjacency keeps its address from being recycled while
+    /// the entry lives, so the address key can never alias a new matrix.
+    std::shared_ptr<const la::CsrMatrix> adjacency;
+    std::shared_ptr<const std::vector<std::vector<int>>> lists;
+  };
+
   int in_features_;
   int hidden_;
   std::vector<AttentionLayer> layers_;
   util::Mutex cache_mutex_;
-  std::unordered_map<const la::CsrMatrix*,
-                     std::shared_ptr<const std::vector<std::vector<int>>>>
-      neighbor_cache_ NP_GUARDED_BY(cache_mutex_);
+  std::unordered_map<const la::CsrMatrix*, NeighborEntry> neighbor_cache_
+      NP_GUARDED_BY(cache_mutex_);
 };
 
 }  // namespace np::nn

@@ -29,7 +29,7 @@ ad::Tensor GcnEncoder::forward(ad::Tape& tape,
   // First-layer width is fixed by the node-link feature encoding; a
   // mismatch here means the env's feature builder and the network
   // config diverged.
-  NP_CHECK_DIMS(tape.value(features).rows(), tape.value(features).cols(), -1,
+  NP_CHECK_DIMS(tape.rows(features), tape.cols(features), -1,
                 in_features_, "GcnEncoder::forward");
   ad::Tensor h = features;
   for (Linear& layer : layers_) {

@@ -20,7 +20,7 @@ Linear::Linear(std::string name, int in_features, int out_features, Rng& rng)
 }
 
 ad::Tensor Linear::forward(ad::Tape& tape, ad::Tensor x) {
-  NP_CHECK_DIMS(tape.value(x).rows(), tape.value(x).cols(), -1, in_features_,
+  NP_CHECK_DIMS(tape.rows(x), tape.cols(x), -1, in_features_,
                 "Linear::forward");
   ad::Tensor w = tape.parameter(weight_);
   ad::Tensor b = tape.parameter(bias_);

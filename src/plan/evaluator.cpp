@@ -35,7 +35,7 @@ void PlanEvaluator::set_quarantined(std::vector<int> scenario_ids) {
   for (int id : scenario_ids) {
     (void)id;
     NP_ASSERT(id >= 0 && id < num_scenarios(),
-              "set_quarantined: scenario " << id << " out of range");
+              "set_quarantined: scenario ", id, " out of range");
   }
   std::sort(scenario_ids.begin(), scenario_ids.end());
   scenario_ids.erase(std::unique(scenario_ids.begin(), scenario_ids.end()),

@@ -206,9 +206,9 @@ WorkerRollout RolloutWorkers::collect_serial(PlanningEnv& env, Rng& rng,
         ad::Tensor log_probs = network_.policy_log_probs(tape, env.adjacency(),
                                                          record.features, record.mask);
         ad::Tensor value = network_.value(tape, env.adjacency(), record.features);
-        record.action = sample_from_log_probs(tape.value(log_probs), record.mask, rng);
-        record.log_prob = tape.value(log_probs)(0, record.action);
-        record.value = tape.value(value)(0, 0);
+        record.action = sample_from_log_probs(tape.data(log_probs), record.mask, rng);
+        record.log_prob = tape.data(log_probs)[record.action];
+        record.value = tape.data(value)[0];
       }
     }
 
@@ -249,7 +249,7 @@ WorkerRollout RolloutWorkers::collect_serial(PlanningEnv& env, Rng& rng,
     } else {
       ad::Tape tape;
       ad::Tensor v = network_.value(tape, env.adjacency(), features);
-      rollout.last_value = tape.value(v)(0, 0);
+      rollout.last_value = tape.data(v)[0];
     }
   }
   return rollout;
@@ -355,9 +355,9 @@ std::vector<WorkerRollout> RolloutWorkers::collect_lockstep(int total_steps) {
         record.features = features[w];
         record.mask = masks[w];
         record.action =
-            sample_from_log_probs(tape.value(forward.log_probs[s]), record.mask, rngs_[w]);
-        record.log_prob = tape.value(forward.log_probs[s])(0, record.action);
-        record.value = tape.value(forward.values[s])(0, 0);
+            sample_from_log_probs(tape.data(forward.log_probs[s]), record.mask, rngs_[w]);
+        record.log_prob = tape.data(forward.log_probs[s])[record.action];
+        record.value = tape.data(forward.values[s])[0];
         rollouts[w].records.push_back(std::move(record));
       }
     }
@@ -415,7 +415,7 @@ std::vector<WorkerRollout> RolloutWorkers::collect_lockstep(int total_steps) {
     } else {
       ad::Tape tape;
       ad::Tensor v = network_.value(tape, envs_[w]->adjacency(), features[w]);
-      rollouts[w].last_value = tape.value(v)(0, 0);
+      rollouts[w].last_value = tape.data(v)[0];
     }
   }
   return rollouts;

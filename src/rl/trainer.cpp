@@ -169,12 +169,13 @@ void A2cTrainer::update_policy(const std::vector<StepRecord>& buffer,
   for (std::size_t begin = 0; begin < buffer.size(); begin += config_.chunk_steps) {
     const std::size_t end =
         std::min(buffer.size(), begin + static_cast<std::size_t>(config_.chunk_steps));
-    ad::Tape tape;
+    ad::Tape& tape = update_tape_;
+    tape.clear();
     // Per-step log-prob tensors; batched mode shares one encoder/actor
     // forward across the chunk (same values, ulp-different gradients —
     // see TrainConfig::batched_updates).
-    std::vector<ad::Tensor> step_log_probs;
-    step_log_probs.reserve(end - begin);
+    std::vector<ad::Tensor>& step_log_probs = chunk_outputs_;
+    step_log_probs.clear();
     if (config_.batched_updates) {
       std::vector<const std::vector<std::uint8_t>*> masks;
       masks.reserve(end - begin);
@@ -190,7 +191,7 @@ void A2cTrainer::update_policy(const std::vector<StepRecord>& buffer,
             tape, env_.adjacency(), buffer[i].features, buffer[i].mask));
       }
     }
-    ad::Tensor loss = tape.constant(la::Matrix(1, 1, 0.0));
+    ad::Tensor loss = tape.scalar(0.0);
     for (std::size_t i = begin; i < end; ++i) {
       ad::Tensor log_probs = step_log_probs[i - begin];
       ad::Tensor logp =
@@ -199,9 +200,8 @@ void A2cTrainer::update_policy(const std::vector<StepRecord>& buffer,
         // Clipped surrogate: -min(ratio*A, clip(ratio)*A). When the
         // clipped branch is active the objective is locally constant in
         // the parameters, so the step contributes no gradient.
-        ad::Tensor ratio = tape.exp(tape.sub(
-            logp, tape.constant(la::Matrix(1, 1, buffer[i].log_prob))));
-        const double r = tape.value(ratio)(0, 0);
+        ad::Tensor ratio = tape.exp(tape.sub(logp, tape.scalar(buffer[i].log_prob)));
+        const double r = tape.data(ratio)[0];
         const double clipped =
             std::clamp(r, 1.0 - config_.ppo_clip, 1.0 + config_.ppo_clip);
         const double adv = advantages[i];
@@ -231,9 +231,10 @@ void A2cTrainer::update_critic(const std::vector<StepRecord>& buffer,
   for (std::size_t begin = 0; begin < buffer.size(); begin += config_.chunk_steps) {
     const std::size_t end =
         std::min(buffer.size(), begin + static_cast<std::size_t>(config_.chunk_steps));
-    ad::Tape tape;
-    std::vector<ad::Tensor> step_values;
-    step_values.reserve(end - begin);
+    ad::Tape& tape = update_tape_;
+    tape.clear();
+    std::vector<ad::Tensor>& step_values = chunk_outputs_;
+    step_values.clear();
     if (config_.batched_updates) {
       const la::Matrix stacked = stack_chunk_features(buffer, begin, end);
       ad::Tensor values = network_.value_batch(
@@ -248,10 +249,9 @@ void A2cTrainer::update_critic(const std::vector<StepRecord>& buffer,
             network_.value(tape, env_.adjacency(), buffer[i].features));
       }
     }
-    ad::Tensor loss = tape.constant(la::Matrix(1, 1, 0.0));
+    ad::Tensor loss = tape.scalar(0.0);
     for (std::size_t i = begin; i < end; ++i) {
-      ad::Tensor diff = tape.sub(step_values[i - begin],
-                                 tape.constant(la::Matrix(1, 1, rewards_to_go[i])));
+      ad::Tensor diff = tape.sub(step_values[i - begin], tape.scalar(rewards_to_go[i]));
       loss = tape.add(loss, tape.scale(tape.square(diff), inv_n));
     }
     tape.backward(loss);
@@ -290,7 +290,7 @@ A2cTrainer::PolicyEvaluation A2cTrainer::evaluate_policy(int rollouts) {
         ad::Tape tape;
         ad::Tensor log_probs =
             network_.policy_log_probs(tape, env_.adjacency(), features, mask);
-        action = sample_from_log_probs(tape.value(log_probs), mask, rng_);
+        action = sample_from_log_probs(tape.data(log_probs), mask, rng_);
       }
       const StepResult step = env_.step(action);
       if (step.feasible) {
@@ -335,11 +335,11 @@ bool A2cTrainer::greedy_rollout() {
       ad::Tape tape;
       ad::Tensor log_probs =
           network_.policy_log_probs(tape, env_.adjacency(), features, mask);
-      const la::Matrix& lp = tape.value(log_probs);
+      const double* lp = tape.data(log_probs);
       double best = -1e301;
       for (std::size_t i = 0; i < mask.size(); ++i) {
-        if (mask[i] && lp(0, i) > best) {
-          best = lp(0, i);
+        if (mask[i] && lp[i] > best) {
+          best = lp[i];
           action = static_cast<int>(i);
         }
       }

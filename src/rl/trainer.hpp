@@ -168,6 +168,10 @@ class A2cTrainer {
   std::unique_ptr<RolloutWorkers> rollout_;
   std::unique_ptr<nn::InferenceEngine> acting_engine_storage_;
   la::BlockDiagonalCache adjacency_cache_;  ///< for batched updates
+  /// One tape for every update chunk of every epoch: its node storage
+  /// grows inside the first update and is reused after that.
+  ad::Tape update_tape_;
+  std::vector<ad::Tensor> chunk_outputs_;  ///< per-step log-probs / values
   double best_cost_ = kUnset;
   std::vector<int> best_added_;
   int epoch_counter_ = 0;

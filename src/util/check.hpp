@@ -103,9 +103,13 @@ void check_lu(int dim,
 namespace detail {
 template <class... Args>
 std::string concat(const Args&... args) {
-  std::ostringstream os;
-  (os << ... << args);
-  return os.str();
+  if constexpr (sizeof...(Args) > 0) {
+    std::ostringstream os;
+    (os << ... << args);
+    return os.str();
+  } else {
+    return std::string();
+  }
 }
 }  // namespace detail
 
@@ -140,7 +144,11 @@ std::string concat(const Args&... args) {
 
 #else
 
-#define NP_ASSERT(cond, ...) ((void)0)
+// Unevaluated, so free at run time, but the condition and message parts
+// must still compile: a checks-off build rejects what a checks-on build
+// would (e.g. a message streamed with << instead of comma-separated).
+#define NP_ASSERT(cond, ...) \
+  ((void)sizeof((cond) ? 0 : (::np::util::detail::concat(__VA_ARGS__), 0)))
 #define NP_CHECK_CSR(rows, cols, row_offsets, col_indices, values_size, where) \
   ((void)0)
 #define NP_CHECK_FINITE(data, count, where) ((void)0)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
 
 #include "nn/actor_critic.hpp"
@@ -179,6 +180,39 @@ TEST(ActorCritic, GatBackendProducesValidPolicy) {
   EXPECT_NEAR(total, 1.0, 1e-9);
   ad::Tensor v = net.value(tape, ring_adjacency(5), Matrix(5, 4, 0.1));
   EXPECT_FALSE(tape.value(v).has_non_finite());
+}
+
+/// Same node count as ring_adjacency(n), different pattern: every node
+/// attends to itself and to node 0.
+std::shared_ptr<la::CsrMatrix> star_adjacency(int n) {
+  std::vector<la::Triplet> t;
+  for (int i = 0; i < n; ++i) {
+    t.push_back({static_cast<std::size_t>(i), static_cast<std::size_t>(i), 0.5});
+    if (i != 0) t.push_back({static_cast<std::size_t>(i), 0, 0.5});
+  }
+  return std::make_shared<la::CsrMatrix>(
+      la::CsrMatrix(static_cast<std::size_t>(n), static_cast<std::size_t>(n), t));
+}
+
+TEST(GatEncoderCache, DeadAdjacencyAddressNeverServesStaleNeighbors) {
+  Rng rng_cached(91), rng_fresh(91);
+  GatEncoder cached("g", 4, 8, 2, rng_cached);
+  GatEncoder fresh("g", 4, 8, 2, rng_fresh);
+  Rng data(92);
+  const Matrix x = random_matrix(6, 4, data);
+  {
+    // Forward through X, then drop X: the allocator may hand its
+    // address to the next matrix of the same size.
+    auto ring = ring_adjacency(6);
+    ad::Tape tape;
+    cached.forward(tape, ring, tape.constant(x));
+  }
+  auto star = star_adjacency(6);
+  ad::Tape got_tape, want_tape;
+  const Matrix got = got_tape.value(cached.forward(got_tape, star, got_tape.constant(x)));
+  const Matrix want =
+      want_tape.value(fresh.forward(want_tape, star, want_tape.constant(x)));
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "la/ragged.hpp"
 #include "nn/actor_critic.hpp"
 #include "nn/inference.hpp"
+#include "reference_la.hpp"
 #include "rl/rollout.hpp"
 #include "topo/generator.hpp"
 #include "util/rng.hpp"
@@ -83,7 +84,7 @@ TEST(InferenceArena, BumpsAlignedAndResetsWithoutReallocating) {
   EXPECT_EQ(arena.high_water_bytes(), high);
 }
 
-TEST(InferenceArena, OverflowKeepsLivePointersAndCoalescesOnReset) {
+TEST(InferenceArena, OverflowKeepsLivePointersAndLaterPassesReuseChunks) {
   la::Arena arena;
   arena.reserve(256);
   double* a = arena.alloc_doubles(16);
@@ -95,7 +96,8 @@ TEST(InferenceArena, OverflowKeepsLivePointersAndCoalescesOnReset) {
   for (int i = 0; i < 16; ++i) EXPECT_EQ(a[i], i);
   EXPECT_GE(arena.reallocations(), 2);
 
-  // reset() coalesces; the same shape then fits with no further growth.
+  // reset() rewinds every chunk; the same shape then fits with no
+  // further growth.
   arena.reset();
   const long settled = arena.reallocations();
   for (int pass = 0; pass < 4; ++pass) {
@@ -138,7 +140,7 @@ TEST(InferenceRagged, LayoutRejectsEmptyBlocks) {
 
 // ---- kernels vs la/ad reference ----
 
-TEST(InferenceKernels, MatmulBitIdenticalToMatrixMatmul) {
+TEST(InferenceKernels, MatmulBitIdenticalToPlainLoops) {
   Rng rng(11);
   // Sizes straddling the register block (4) and the cache tiles (64/128).
   const std::size_t shapes[][3] = {
@@ -146,7 +148,7 @@ TEST(InferenceKernels, MatmulBitIdenticalToMatrixMatmul) {
   for (const auto& s : shapes) {
     const Matrix a = random_matrix(s[0], s[1], rng);
     const Matrix b = random_matrix(s[1], s[2], rng);
-    const Matrix expected = a.matmul(b);
+    const Matrix expected = ref::naive_matmul(a, b);
     std::vector<double> out(s[0] * s[2], -1.0);
     la::kernels::matmul(a.data(), s[0], s[1], b.data(), s[2], out.data());
     for (std::size_t i = 0; i < out.size(); ++i) {
@@ -160,10 +162,8 @@ TEST(InferenceKernels, FusedBiasActMatchesUnfusedTapeOrder) {
   const Matrix x = random_matrix(9, 6, rng);
   const Matrix w = random_matrix(6, 5, rng);
   const Matrix bias = random_matrix(1, 5, rng);
-  const Matrix expected =
-      x.matmul(w).add_row_broadcast(bias).map([](double v) {
-        return v > 0.0 ? v : 0.0;
-      });
+  Matrix expected = x.matmul(w).add_row_broadcast(bias);
+  for (double& v : expected.flat()) v = v > 0.0 ? v : 0.0;
   std::vector<double> out(9 * 5);
   la::kernels::matmul_bias_act(x.data(), 9, 6, w.data(), 5, bias.data(),
                                la::kernels::Activation::kRelu, out.data());

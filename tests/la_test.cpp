@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
+#include "la/kernels.hpp"
+#include "la/kernels_detail.hpp"
 #include "la/matrix.hpp"
 #include "la/sparse.hpp"
+#include "reference_la.hpp"
 #include "util/rng.hpp"
 
 namespace np::la {
@@ -82,12 +88,6 @@ TEST(Matrix, Transpose) {
   EXPECT_EQ(t.cols(), 2u);
   EXPECT_DOUBLE_EQ(t(0, 1), 4.0);
   EXPECT_EQ(t.transposed(), a);
-}
-
-TEST(Matrix, MapAppliesFunction) {
-  Matrix a{{-1, 2}};
-  Matrix r = a.map([](double x) { return x > 0 ? x : 0.0; });
-  EXPECT_EQ(r, (Matrix{{0, 2}}));
 }
 
 TEST(Matrix, AddRowBroadcast) {
@@ -215,15 +215,7 @@ TEST(Matrix, MatmulTiledMatchesNaiveReference) {
     // some exact zeros: the old kernel skipped them, the new one must not
     // change results without the skip either
     a(0, 0) = 0.0;
-    Matrix naive(s[0], s[2], 0.0);
-    for (std::size_t i = 0; i < s[0]; ++i) {
-      for (std::size_t j = 0; j < s[2]; ++j) {
-        double acc = 0.0;
-        for (std::size_t k = 0; k < s[1]; ++k) acc += a(i, k) * b(k, j);
-        naive(i, j) = acc;
-      }
-    }
-    EXPECT_EQ(a.matmul(b), naive) << s[0] << "x" << s[1] << "x" << s[2];
+    EXPECT_EQ(a.matmul(b), ref::naive_matmul(a, b)) << s[0] << "x" << s[1] << "x" << s[2];
   }
 }
 
@@ -295,6 +287,127 @@ TEST(Csr, BlockDiagonalCacheReusesAndValidates) {
   EXPECT_EQ(four_a->rows(), 8u);
   EXPECT_THROW(cache.get(0), std::invalid_argument);
   EXPECT_THROW(BlockDiagonalCache(nullptr), std::invalid_argument);
+}
+
+// ---- register tiles: AVX2 vs portable vs plain loops ----
+
+namespace kd = kernels::detail;
+
+constexpr std::size_t kTileRows[] = {1, 2, 3, 4, 5, 30, 33};
+constexpr std::size_t kTileDepths[] = {1, 4, 32, 64, 65, 130};
+constexpr std::size_t kTileCols[] = {1, 7, 8, 9, 16, 64, 65, 129};
+
+/// Normal entries with every 7th an exact zero of alternating sign;
+/// optionally one NaN in the last row and one infinity in the last
+/// column, so both reach some outputs and leave others finite.
+Matrix tile_input(std::size_t rows, std::size_t cols, Rng& rng, bool specials) {
+  Matrix m(rows, cols);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    m.flat()[i] = i % 7 == 3 ? (i % 2 == 0 ? 0.0 : -0.0) : rng.normal();
+  }
+  if (specials && rows > 1) m(rows - 1, 0) = std::numeric_limits<double>::quiet_NaN();
+  if (specials && cols > 1) m(0, cols - 1) = std::numeric_limits<double>::infinity();
+  return m;
+}
+
+/// Bitwise equality of every entry (so +0.0 != -0.0), except that any
+/// two NaNs match: which NaN payload survives an add of two NaNs
+/// depends on the operand order the compiler picked.
+::testing::AssertionResult same_bits(const Matrix& got, const Matrix& want) {
+  if (!got.same_shape(want)) return ::testing::AssertionFailure() << "shape differs";
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const double g = got.flat()[i], w = want.flat()[i];
+    if (std::isnan(g) && std::isnan(w)) continue;
+    std::uint64_t gb = 0, wb = 0;
+    std::memcpy(&gb, &g, sizeof gb);
+    std::memcpy(&wb, &w, sizeof wb);
+    if (gb != wb) {
+      return ::testing::AssertionFailure() << "entry " << i << ": " << g << " vs " << w;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+enum class Product { kMatmul, kMatmulTn, kGradInput };
+
+using ProductFn = void (*)(const double*, std::size_t, std::size_t, const double*,
+                           std::size_t, double*);
+
+/// Calls check(x, y) with fresh inputs for every tile shape (n, k, m):
+/// kMatmul x (n x k) @ y (k x m); kMatmulTn x^T @ y with x (n x k),
+/// y (n x m); kGradInput x @ y^T with x = G (n x m), y = W (k x m).
+template <class Check>
+void for_each_tile_shape(Product product, Check check) {
+  Rng rng(41);
+  for (std::size_t n : kTileRows) {
+    for (std::size_t k : kTileDepths) {
+      for (std::size_t m : kTileCols) {
+        const Matrix x = product == Product::kGradInput ? tile_input(n, m, rng, true)
+                                                        : tile_input(n, k, rng, true);
+        const Matrix y = product == Product::kMatmul     ? tile_input(k, m, rng, true)
+                         : product == Product::kMatmulTn ? tile_input(n, m, rng, true)
+                                                         : tile_input(k, m, rng, true);
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << k << " m=" << m);
+        check(x, y);
+      }
+    }
+  }
+}
+
+/// `product` of x and y through one implementation's entry points; the
+/// input gradient goes through kernels::transpose, as the tape does.
+Matrix run(Product product, ProductFn matmul, ProductFn matmul_tn, const Matrix& x,
+           const Matrix& y) {
+  if (product == Product::kMatmul) {
+    Matrix out(x.rows(), y.cols(), -1.0);
+    matmul(x.data(), x.rows(), x.cols(), y.data(), y.cols(), out.data());
+    return out;
+  }
+  if (product == Product::kMatmulTn) {
+    Matrix out(x.cols(), y.cols(), -1.0);
+    matmul_tn(x.data(), x.rows(), x.cols(), y.data(), y.cols(), out.data());
+    return out;
+  }
+  std::vector<double> wt(y.size());
+  kernels::transpose(y.data(), y.rows(), y.cols(), wt.data());
+  Matrix out(x.rows(), y.rows(), -1.0);
+  matmul(x.data(), x.rows(), x.cols(), wt.data(), y.rows(), out.data());
+  return out;
+}
+
+Matrix plain_loops(Product product, const Matrix& x, const Matrix& y) {
+  if (product == Product::kMatmul) return ref::naive_matmul(x, y);
+  if (product == Product::kMatmulTn) return ref::naive_matmul(x.transposed(), y);
+  return ref::naive_matmul(x, y.transposed());
+}
+
+TEST(KernelTile, PortablePathsMatchPlainLoops) {
+  for (Product product : {Product::kMatmul, Product::kMatmulTn, Product::kGradInput}) {
+    for_each_tile_shape(product, [&](const Matrix& x, const Matrix& y) {
+      EXPECT_TRUE(same_bits(run(product, kd::matmul_portable, kd::matmul_tn_portable, x, y),
+                            plain_loops(product, x, y)));
+    });
+  }
+}
+
+void expect_avx2_matches_portable(Product product) {
+  if (!kd::avx2_available()) GTEST_SKIP() << "CPU without AVX2";
+  for_each_tile_shape(product, [&](const Matrix& x, const Matrix& y) {
+    EXPECT_TRUE(same_bits(run(product, kd::matmul_avx2, kd::matmul_tn_avx2, x, y),
+                          run(product, kd::matmul_portable, kd::matmul_tn_portable, x, y)));
+  });
+}
+
+TEST(KernelTile, Avx2MatmulMatchesPortable) {
+  expect_avx2_matches_portable(Product::kMatmul);
+}
+
+TEST(KernelTile, Avx2MatmulTnMatchesPortable) {
+  expect_avx2_matches_portable(Product::kMatmulTn);
+}
+
+TEST(KernelTile, Avx2InputGradientMatchesPortable) {
+  expect_avx2_matches_portable(Product::kGradInput);
 }
 
 }  // namespace
