@@ -13,15 +13,14 @@
 #include "ad/snapshot.hpp"
 #include "la/matrix.hpp"
 #include "rl/trainer.hpp"
+#include "temp_path.hpp"
 #include "topo/generator.hpp"
 #include "util/rng.hpp"
 
 namespace np::rl {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + name;
-}
+using test::temp_path;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

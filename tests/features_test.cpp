@@ -10,6 +10,7 @@
 #include "nn/actor_critic.hpp"
 #include "plan/evaluator.hpp"
 #include "plan/parallel_evaluator.hpp"
+#include "temp_path.hpp"
 #include "topo/generator.hpp"
 #include "util/rng.hpp"
 
@@ -164,7 +165,7 @@ TEST(Checkpoint, RejectsWhitespaceNames) {
 
 TEST(Checkpoint, FileRoundTrip) {
   ad::Parameter p("w", la::Matrix{{1.5, -2.25}});
-  const std::string path = ::testing::TempDir() + "/np_ckpt_test.txt";
+  const std::string path = test::temp_path("np_ckpt_test.txt");
   ad::save_parameters_file({&p}, path);
   p.value(0, 0) = 0.0;
   ad::load_parameters_file({&p}, path);

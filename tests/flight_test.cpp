@@ -19,6 +19,7 @@
 
 #include "np_json.hpp"
 #include "obs/obs.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -91,7 +92,7 @@ TEST(FlightRecorder, SpanStackTracksNesting) {
 }
 
 TEST(FlightRecorder, ExplicitDumpIsWellFormedAndCarriesState) {
-  const std::string path = testing::TempDir() + "flight_explicit.npcrash";
+  const std::string path = np::test::temp_path("flight_explicit.npcrash");
   obs::counter("flighttest.dump_counter").add(7);
   obs::fr_detail::fr_span_begin("flighttest.active_span");
   obs::fr_record(obs::FrEventKind::kAnnotation, "flighttest.marker", 41, 42);
@@ -140,7 +141,7 @@ TEST(FlightRecorder, ExplicitDumpIsWellFormedAndCarriesState) {
 }
 
 TEST(FlightRecorder, ContractViolationHookDumpsFatalReport) {
-  const std::string path = testing::TempDir() + "flight_contract.npcrash";
+  const std::string path = np::test::temp_path("flight_contract.npcrash");
   obs::set_flight_record_path(path.c_str());
   ASSERT_TRUE(obs::flight_record_armed());
   EXPECT_FALSE(obs::flight_record_dumped());
@@ -163,7 +164,7 @@ TEST(FlightRecorder, ContractViolationHookDumpsFatalReport) {
 }
 
 TEST(FlightRecorder, ExitDumpHonorsLatchAndRearm) {
-  const std::string path = testing::TempDir() + "flight_exit.npcrash";
+  const std::string path = np::test::temp_path("flight_exit.npcrash");
   obs::set_flight_record_path(path.c_str());
   obs::fr_dump_at_exit();
   EXPECT_TRUE(obs::flight_record_dumped());
@@ -214,8 +215,8 @@ TEST(FlightRecorder, SnapshotAndDumpUnderConcurrentWriters) {
   for (int i = 0; i < kDumps; ++i) {
     const std::string snapshot = obs::Registry::instance().snapshot_json();
     EXPECT_NO_THROW(np_json::parse(snapshot)) << "torn registry snapshot";
-    const std::string path = testing::TempDir() + "flight_race_" +
-                             std::to_string(i) + ".npcrash";
+    const std::string path = np::test::temp_path("flight_race_" +
+                                                  std::to_string(i) + ".npcrash");
     ASSERT_TRUE(obs::dump_flight_record("test", "race", "", /*fatal=*/false,
                                         path.c_str()));
     const np_json::Value report = parse_report(path);
@@ -230,8 +231,8 @@ TEST(FlightRecorder, SnapshotAndDumpUnderConcurrentWriters) {
 // shutdown() must append exactly one "final" record even when a dump
 // already happened, and later emits are no-ops on the closed sink.
 TEST(FlightRecorder, FinalMetricsRecordCoexistsWithDump) {
-  const std::string metrics_path = testing::TempDir() + "flight_metrics.jsonl";
-  const std::string report_path = testing::TempDir() + "flight_final.npcrash";
+  const std::string metrics_path = np::test::temp_path("flight_metrics.jsonl");
+  const std::string report_path = np::test::temp_path("flight_final.npcrash");
   obs::set_metrics_out(metrics_path);
   obs::counter("flighttest.final").add(3);
   obs::emit_metrics_record("train_epoch", 1);

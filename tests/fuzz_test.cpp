@@ -12,6 +12,7 @@
 
 #include "ad/snapshot.hpp"
 #include "serve/protocol.hpp"
+#include "temp_path.hpp"
 #include "topo/generator.hpp"
 #include "topo/serialize.hpp"
 #include "util/env.hpp"
@@ -86,7 +87,7 @@ class SnapshotFuzz : public ::testing::TestWithParam<unsigned> {};
 TEST_P(SnapshotFuzz, MutatedSnapshotNeverResumesSilently) {
   const std::uint64_t seed = fuzz_seed(GetParam()) + 500009u;
   SCOPED_TRACE(::testing::Message() << "fuzz seed " << seed);
-  const std::string path = ::testing::TempDir() + "fuzz_snapshot.state";
+  const std::string path = test::temp_path("fuzz_snapshot.state");
   std::string payload = "epoch 12\nrng deadbeef 1 2 3\nparams 0\nend\n";
   payload.push_back('\0');
   payload += "binary tail \xff\x01";

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -158,7 +159,7 @@ TEST(ObsTrace, ChromeTraceSchema) {
   EXPECT_EQ(obs::trace_event_count(), 2u);
   EXPECT_EQ(obs::trace_dropped_count(), 0u);
 
-  const std::string path = testing::TempDir() + "obs_trace_schema.json";
+  const std::string path = np::test::temp_path("obs_trace_schema.json");
   std::FILE* out = std::fopen(path.c_str(), "w");
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(obs::write_chrome_trace(out), 2u);
@@ -191,7 +192,7 @@ TEST(ObsTrace, ChromeTraceSchema) {
 }
 
 TEST(ObsSink, MetricsRecordsAreOneJsonObjectPerLine) {
-  const std::string path = testing::TempDir() + "obs_metrics.jsonl";
+  const std::string path = np::test::temp_path("obs_metrics.jsonl");
   obs::set_metrics_out(path);
   ASSERT_TRUE(obs::metrics_out_open());
   EXPECT_TRUE(obs::detail_enabled());  // a metrics sink arms detail metrics

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <set>
 
+#include "temp_path.hpp"
 #include "topo/generator.hpp"
 #include "topo/serialize.hpp"
 #include "topo/topology.hpp"
@@ -532,7 +533,7 @@ TEST(Serialize, TruncatedRecordThrows) {
 
 TEST(Serialize, FileRoundTrip) {
   Topology t = make_preset('A');
-  const std::string path = ::testing::TempDir() + "/np_topo_roundtrip.txt";
+  const std::string path = test::temp_path("np_topo_roundtrip.txt");
   save_file(t, path);
   Topology r = load_file(path);
   EXPECT_EQ(to_text(t), to_text(r));

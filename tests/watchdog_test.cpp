@@ -21,6 +21,7 @@
 #include "np_json.hpp"
 #include "obs/obs.hpp"
 #include "plan/parallel_evaluator.hpp"
+#include "temp_path.hpp"
 #include "topo/generator.hpp"
 #include "util/fault.hpp"
 
@@ -127,7 +128,7 @@ TEST_F(WatchdogTest, BeatingHeartbeatIsNotFlagged) {
 }
 
 TEST_F(WatchdogTest, StallEscalatesToWatchdogStallDump) {
-  const std::string path = testing::TempDir() + "watchdog_stall.npcrash";
+  const std::string path = np::test::temp_path("watchdog_stall.npcrash");
   obs::set_flight_record_path(path.c_str());
   obs::WatchdogConfig config;
   config.stall_seconds = 0.05;
