@@ -34,7 +34,10 @@ namespace np::bench {
 /// "hw_threads" and, on single-hardware-thread hosts, a machine-readable
 /// "hw_warning" block — throughput scaling numbers from a 1-thread box
 /// measure contention, not parallel speedup.
-inline constexpr int kBenchSchemaVersion = 5;
+/// v6: rollout_throughput lost the fast/tape mode axis (one worker
+/// curve under "workers", each row with lp_us_per_iter); nn_inference
+/// lost its "ragged_batch" section ("arena_bytes" moved to the top).
+inline constexpr int kBenchSchemaVersion = 6;
 
 /// Git revision baked in at configure time (bench/CMakeLists.txt);
 /// "unknown" outside a git checkout.

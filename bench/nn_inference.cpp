@@ -1,22 +1,13 @@
 // Inference-engine benchmark (nn::InferenceEngine vs tape forwards),
 // written as JSON to BENCH_infer.json.
 //
-// Two axes:
-//   single_graph — actor-critic forwards/sec on presets A, B and C,
-//     tape path (policy_log_probs + value, the pre-engine acting path)
-//     vs the tape-free engine (one fused policy+value forward). The
-//     engine is refreshed once and the arena is warm, matching the
-//     steady state of rl::RolloutWorkers acting.
-//   ragged_batch — forwards/sec at batch 8 over heterogeneous graphs
-//     (presets A/B/C interleaved): per-graph tape loop (the status-quo
-//     acting path) and per-graph engine forward() loop vs one ragged
-//     block-diagonal forward_ragged() call. The tape loop is the
-//     primary baseline; the engine loop is reported too so the
-//     batching-only margin is visible (it is modest on one core —
-//     the fused dense kernels are compute-bound, so stacking mostly
-//     recovers remainder-row and 1-row-critic inefficiency).
+// single_graph — actor-critic forwards/sec on presets A, B and C, tape
+// path (policy_log_probs + value, the pre-engine acting path) vs the
+// tape-free engine (one fused policy+value forward). The engine is
+// refreshed once and the arena is warm, matching the steady state of a
+// rl::RolloutWorkers worker acting.
 //
-// Both comparisons are apples-to-apples by construction: the engine is
+// The comparison is apples-to-apples by construction: the engine is
 // bit-identical to the tape (tests/inference_test.cpp), so the work
 // measured is the same math, minus tape bookkeeping and allocation.
 //
@@ -140,10 +131,8 @@ int main(int argc, char** argv) {
     double fast_per_sec;
   };
   std::vector<Row> rows;
-  std::vector<GraphCase> cases;
   for (char preset : {'A', 'B', 'C'}) {
-    cases.push_back(make_case(preset, env_config));
-    const GraphCase& c = cases.back();
+    const GraphCase c = make_case(preset, env_config);
     Row row;
     row.preset = preset;
     row.nodes = c.features.rows();
@@ -156,59 +145,7 @@ int main(int argc, char** argv) {
                 row.fast_per_sec / row.tape_per_sec);
   }
 
-  // Ragged batch 8: presets A/B/C interleaved — heterogeneous node
-  // counts exercise the block-diagonal path, not just a repeated graph.
-  const int kBatch = 8;
-  std::vector<nn::InferenceEngine::GraphInput> batch;
-  for (int i = 0; i < kBatch; ++i) {
-    const GraphCase& c = cases[static_cast<std::size_t>(i) % cases.size()];
-    nn::InferenceEngine::GraphInput input;
-    input.adjacency = c.env->adjacency().get();
-    input.features = &c.features;
-    input.action_mask = &c.mask;
-    batch.push_back(input);
-  }
-  const int batch_iters = iters / 4 > 0 ? iters / 4 : 1;
-  volatile double sink = 0.0;
-  // Status-quo baseline: per-graph tape forwards over the batch.
-  auto tape_loop_once = [&] {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const GraphCase& c = cases[i % cases.size()];
-      ad::Tape tape;
-      ad::Tensor lp =
-          net.policy_log_probs(tape, c.env->adjacency(), c.features, c.mask);
-      ad::Tensor v = net.value(tape, c.env->adjacency(), c.features);
-      sink = tape.data(lp)[0] + tape.data(v)[0];
-    }
-  };
-  const double tape_loop_per_sec = best_rate(batch_iters, kBatch,
-                                             tape_loop_once);
-
-  // Per-graph engine loop (batch forwards/sec = graphs processed/sec).
-  auto loop_once = [&] {
-    for (const auto& input : batch) {
-      const nn::InferenceEngine::Output out = engine.forward(
-          *input.adjacency, *input.features, *input.action_mask, true);
-      sink = out.log_probs[0] + out.value;
-    }
-  };
-  const double loop_per_sec = best_rate(batch_iters, kBatch, loop_once);
-
-  auto ragged_once = [&] {
-    const nn::InferenceEngine::BatchOutput& out =
-        engine.forward_ragged(batch.data(), batch.size(), true);
-    sink = out.log_probs[0][0] + out.values[0];
-  };
-  const double ragged_per_sec = best_rate(batch_iters, kBatch, ragged_once);
-  (void)sink;
-
-  const double vs_tape_loop = ragged_per_sec / tape_loop_per_sec;
-  const double vs_fast_loop = ragged_per_sec / loop_per_sec;
-  std::printf("ragged batch %d (A/B/C mixed): tape loop %.0f, fast loop %.0f, "
-              "ragged %.0f fwd/s (%.2fx vs tape loop, %.2fx vs fast loop)\n",
-              kBatch, tape_loop_per_sec, loop_per_sec, ragged_per_sec,
-              vs_tape_loop, vs_fast_loop);
-  std::printf("arena high water: %zu bytes, reallocations after warmup: %zu\n",
+  std::printf("arena high water: %zu bytes, arena reallocations: %ld\n",
               engine.arena_high_water_bytes(), engine.arena_reallocations());
 
   const char* out_path = argc > 1 ? argv[1] : "BENCH_infer.json";
@@ -236,16 +173,9 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out,
                "  ],\n"
-               "  \"ragged_batch\": {\"batch\": %d, "
-               "\"tape_loop_fwd_per_sec\": %.1f, "
-               "\"fast_loop_fwd_per_sec\": %.1f, "
-               "\"ragged_fwd_per_sec\": %.1f, "
-               "\"speedup_vs_tape_loop\": %.3f, "
-               "\"speedup_vs_fast_loop\": %.3f, "
-               "\"arena_bytes\": %zu}\n"
+               "  \"arena_bytes\": %zu\n"
                "}\n",
-               kBatch, tape_loop_per_sec, loop_per_sec, ragged_per_sec,
-               vs_tape_loop, vs_fast_loop, engine.arena_high_water_bytes());
+               engine.arena_high_water_bytes());
   std::fclose(out);
   std::printf("wrote %s\n", out_path);
   return 0;

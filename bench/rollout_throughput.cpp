@@ -2,21 +2,17 @@
 // (rl::RolloutWorkers): env steps per second at 1, 2 and 4 workers,
 // written as JSON for scripts/bench_rollout.sh -> BENCH_rollout.json.
 //
-// The worker curve is measured twice, once per inference mode: "fast"
-// (the tape-free nn::InferenceEngine, the default acting path) and
-// "tape" (the autodiff forwards, NEUROPLAN_INFERENCE=tape). The two
-// curves are bit-identical in actions taken, so the delta is pure
-// forward-pass overhead in the acting hot path.
-//
 // The 1-worker row uses borrowed mode (the exact serial trainer path),
 // so speedups are measured against the true pre-threading baseline.
-// Interpreting the numbers needs `hardware_threads` from the JSON:
-// worker counts beyond the core count still gain from cross-worker
-// batched network forwards, but the env-stepping parallelism only
-// materializes on real cores.
+// Every worker runs its own acting loop on its own thread, so the
+// speedup only materializes on real cores: interpreting the numbers
+// needs `hardware_threads` from the JSON. Each row also reports the
+// simplex time per iteration (`lp_us_per_iter`), the contention
+// signal: if the workers fought over shared state (metric atomics,
+// the allocator, caches), LP iterations would get slower as K grows.
 //
 // Knobs: NEUROPLAN_TOPOS (first letter, default B),
-//        NEUROPLAN_ROLLOUT_STEPS (steps per measured collect, default 768),
+//        NEUROPLAN_ROLLOUT_STEPS (steps per measured collect, default 3072),
 //        NEUROPLAN_SEED (default 7).
 #include <cstdio>
 #include <string>
@@ -50,15 +46,18 @@ struct Measurement {
   double wall_seconds = 0.0;
   long lp_iterations = 0;   ///< simplex iterations in the measured collect
   double lp_seconds = 0.0;  ///< seconds inside lp::solve (CPU-seconds, K > 1)
+
+  double lp_us_per_iter() const {
+    return lp_iterations > 0 ? 1e6 * lp_seconds / lp_iterations : 0.0;
+  }
 };
 
 Measurement measure(const topo::Topology& topology, const rl::EnvConfig& env,
                     nn::ActorCritic& net, int workers, unsigned seed,
-                    int steps, nn::InferenceMode mode) {
+                    int steps) {
   // Fresh PlanningEnv per measurement so LP caches start cold for every
   // worker count; one warmup collect builds them before timing.
   auto run = [&](rl::RolloutWorkers& rollout) {
-    rollout.set_inference_mode(mode);
     rollout.collect(steps);  // warmup
     const long warm_iters = rollout.total_lp_iterations();
     const double warm_secs = rollout.total_lp_seconds();
@@ -90,7 +89,7 @@ int main(int argc, char** argv) {
   const std::string topos = env_string("NEUROPLAN_TOPOS", "B");
   const char preset = topos.empty() ? 'B' : topos[0];
   const unsigned seed = static_cast<unsigned>(env_long("NEUROPLAN_SEED", 7));
-  const int steps = static_cast<int>(env_long("NEUROPLAN_ROLLOUT_STEPS", 768));
+  const int steps = static_cast<int>(env_long("NEUROPLAN_ROLLOUT_STEPS", 3072));
 
   const topo::Topology topology = topo::make_preset(preset);
   rl::EnvConfig env;
@@ -99,30 +98,21 @@ int main(int argc, char** argv) {
   nn::ActorCritic net(network_config(env), net_rng);
 
   const std::vector<int> worker_counts = {1, 2, 4};
-  const std::vector<nn::InferenceMode> modes = {nn::InferenceMode::kFast,
-                                                nn::InferenceMode::kTape};
-  // rows[mode][worker_count_index]
-  std::vector<std::vector<Measurement>> rows(modes.size());
-  for (std::size_t m = 0; m < modes.size(); ++m) {
-    for (int k : worker_counts) {
-      rows[m].push_back(measure(topology, env, net, k, seed, steps, modes[m]));
-      std::printf("[%s] workers %d: %.1f steps/s (lp share %.0f%%)\n",
-                  nn::to_string(modes[m]), k, rows[m].back().steps_per_sec,
-                  100.0 * rows[m].back().lp_seconds /
-                      rows[m].back().wall_seconds);
-    }
+  std::vector<Measurement> rows;
+  for (int k : worker_counts) {
+    rows.push_back(measure(topology, env, net, k, seed, steps));
+    std::printf("workers %d: %.1f steps/s (lp share %.0f%%, %.1f us per LP "
+                "iteration)\n",
+                k, rows.back().steps_per_sec,
+                100.0 * rows.back().lp_seconds / rows.back().wall_seconds,
+                rows.back().lp_us_per_iter());
   }
-  const double speedup =
-      rows[0].back().steps_per_sec / rows[0].front().steps_per_sec;
-  const double fast_vs_tape =
-      rows[0].front().steps_per_sec / rows[1].front().steps_per_sec;
+  const double speedup = rows.back().steps_per_sec / rows.front().steps_per_sec;
   const int hw_threads = util::ThreadPool::hardware_threads();
-  std::printf("speedup 4 vs 1 (fast): %.2fx (on %d hardware threads)\n",
-              speedup, hw_threads);
-  std::printf("fast vs tape at 1 worker: %.2fx\n", fast_vs_tape);
-  // Worker counts past the core count can't parallelize env stepping,
-  // only batch network forwards — flag it so low speedups on small
-  // machines aren't misread as regressions.
+  std::printf("speedup 4 vs 1: %.2fx (on %d hardware threads)\n", speedup,
+              hw_threads);
+  // Worker counts past the core count share cores — flag it so low
+  // speedups on small machines aren't misread as regressions.
   const bool oversubscribed = hw_threads < worker_counts.back();
   if (oversubscribed) {
     std::printf("warning: %d hardware threads < %d workers; speedup is "
@@ -138,11 +128,9 @@ int main(int argc, char** argv) {
   }
   long total_lp_iterations = 0;
   double total_lp_seconds = 0.0;
-  for (const auto& mode_rows : rows) {
-    for (const Measurement& m : mode_rows) {
-      total_lp_iterations += m.lp_iterations;
-      total_lp_seconds += m.lp_seconds;
-    }
+  for (const Measurement& m : rows) {
+    total_lp_iterations += m.lp_iterations;
+    total_lp_seconds += m.lp_seconds;
   }
   std::fprintf(out, "{\n");
   bench::print_json_provenance(out);
@@ -152,36 +140,29 @@ int main(int argc, char** argv) {
                "  \"steps_per_collect\": %d,\n"
                "  \"hardware_threads\": %d,\n"
                "  \"warning\": \"%s\",\n"
-               "  \"modes\": [\n",
+               "  \"workers\": [\n",
                preset, steps, hw_threads,
                oversubscribed ? "hardware_threads below max worker count; "
                                 "speedup is thread-starved"
                               : "");
-  for (std::size_t m = 0; m < modes.size(); ++m) {
-    std::fprintf(out, "    {\"inference\": \"%s\", \"workers\": [\n",
-                 nn::to_string(modes[m]));
-    for (std::size_t i = 0; i < worker_counts.size(); ++i) {
-      const Measurement& row = rows[m][i];
-      std::fprintf(
-          out,
-          "      {\"workers\": %d, \"steps_per_sec\": %.2f, "
-          "\"lp_iterations\": %ld, \"lp_seconds\": %.4f, "
-          "\"lp_share\": %.3f}%s\n",
-          worker_counts[i], row.steps_per_sec, row.lp_iterations,
-          row.lp_seconds,
-          row.wall_seconds > 0.0 ? row.lp_seconds / row.wall_seconds : 0.0,
-          i + 1 < worker_counts.size() ? "," : "");
-    }
-    std::fprintf(out, "    ]}%s\n", m + 1 < modes.size() ? "," : "");
+  for (std::size_t i = 0; i < worker_counts.size(); ++i) {
+    const Measurement& row = rows[i];
+    std::fprintf(
+        out,
+        "    {\"workers\": %d, \"steps_per_sec\": %.2f, "
+        "\"lp_iterations\": %ld, \"lp_seconds\": %.4f, "
+        "\"lp_share\": %.3f, \"lp_us_per_iter\": %.2f}%s\n",
+        worker_counts[i], row.steps_per_sec, row.lp_iterations, row.lp_seconds,
+        row.wall_seconds > 0.0 ? row.lp_seconds / row.wall_seconds : 0.0,
+        row.lp_us_per_iter(), i + 1 < worker_counts.size() ? "," : "");
   }
   std::fprintf(out,
                "  ],\n"
                "  \"total_lp_iterations\": %ld,\n"
                "  \"lp_seconds\": %.4f,\n"
-               "  \"speedup_4v1\": %.3f,\n"
-               "  \"fast_vs_tape_1worker\": %.3f\n"
+               "  \"speedup_4v1\": %.3f\n"
                "}\n",
-               total_lp_iterations, total_lp_seconds, speedup, fast_vs_tape);
+               total_lp_iterations, total_lp_seconds, speedup);
   std::fclose(out);
   std::printf("wrote %s\n", out_path);
   obs::shutdown();

@@ -1,23 +1,19 @@
 #!/usr/bin/env bash
 # Build and run the rollout-throughput, LP-engine and inference-engine
 # benches, writing BENCH_rollout.json (steps/sec at 1, 2 and 4 rollout
-# workers, fast vs tape inference, with the LP share of stepping time),
-# BENCH_lp.json (dense vs sparse simplex engine, cold vs warm starts)
-# and BENCH_infer.json (tape-free nn::InferenceEngine vs tape forwards,
-# single-graph and ragged batch) at the repo root.
+# workers, with the LP share of stepping time and the time per LP
+# iteration), BENCH_lp.json (dense vs sparse simplex engine, cold vs
+# warm starts) and BENCH_infer.json (tape-free nn::InferenceEngine vs
+# tape forwards, single graph) at the repo root.
 #
 #   scripts/bench_rollout.sh [build-dir]
 #
 # Scale knobs:
-#   NEUROPLAN_TOPOS=B            preset topology (first letter is used)
-#   NEUROPLAN_ROLLOUT_STEPS=768  env steps per measured collect
-#   NEUROPLAN_LP_CHECKS=48       env steps in the LP workload
-#   NEUROPLAN_INFER_ITERS=400    measured forwards per nn_inference row
-#   NEUROPLAN_SEED=7             RNG seed
-#
-# Note: rollout_throughput measures both inference modes itself; the
-# NEUROPLAN_INFERENCE=tape|fast escape hatch only affects training
-# binaries (trainer/rollout default), not this bench's mode axis.
+#   NEUROPLAN_TOPOS=B             preset topology (first letter is used)
+#   NEUROPLAN_ROLLOUT_STEPS=3072  env steps per measured collect
+#   NEUROPLAN_LP_CHECKS=48        env steps in the LP workload
+#   NEUROPLAN_INFER_ITERS=400     measured forwards per nn_inference row
+#   NEUROPLAN_SEED=7              RNG seed
 set -euo pipefail
 
 build_dir="${1:-build}"

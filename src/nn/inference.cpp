@@ -7,7 +7,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
-#include "util/env.hpp"
 
 namespace np::nn {
 
@@ -25,18 +24,6 @@ std::size_t max_row_nnz(const la::CsrMatrix& a) {
   return best;
 }
 }  // namespace
-
-InferenceMode inference_mode_from_env() {
-  const std::string value = env_string("NEUROPLAN_INFERENCE", "fast");
-  if (value == "fast") return InferenceMode::kFast;
-  if (value == "tape") return InferenceMode::kTape;
-  throw std::invalid_argument(
-      "NEUROPLAN_INFERENCE must be 'tape' or 'fast', got '" + value + "'");
-}
-
-const char* to_string(InferenceMode mode) {
-  return mode == InferenceMode::kFast ? "fast" : "tape";
-}
 
 InferenceEngine::InferenceEngine(ActorCritic& network)
     : network_(&network), config_(network.config()) {
@@ -102,95 +89,39 @@ void InferenceEngine::refresh() {
   encoder_dim_ = actor_.front().in;
 }
 
-void InferenceEngine::validate(const GraphInput* graphs, std::size_t count,
-                               bool want_policy) const {
-  if (count == 0) {
-    throw std::invalid_argument("InferenceEngine: empty batch");
-  }
-  const std::size_t m = static_cast<std::size_t>(config_.max_units_per_step);
-  for (std::size_t g = 0; g < count; ++g) {
-    const GraphInput& in = graphs[g];
-    if (in.adjacency == nullptr || in.features == nullptr) {
-      throw std::invalid_argument("InferenceEngine: null graph input");
-    }
-    NP_CHECK_DIMS(in.features->rows(), in.features->cols(), -1,
-                  config_.feature_dim, "InferenceEngine::validate");
-    if (in.adjacency->rows() != in.features->rows()) {
-      throw std::invalid_argument(
-          "InferenceEngine: adjacency/feature row mismatch");
-    }
-    if (want_policy) {
-      if (in.action_mask == nullptr ||
-          in.action_mask->size() != in.features->rows() * m) {
-        throw std::invalid_argument("InferenceEngine: bad action mask");
-      }
-    }
-  }
-}
-
-const double* InferenceEngine::encode(const GraphInput* graphs,
-                                      const la::RaggedLayout& layout) {
+const double* InferenceEngine::encode(const la::CsrMatrix& adjacency,
+                                      const la::Matrix& features) {
   namespace k = la::kernels;
-  const std::size_t total = layout.total_rows();
-  const std::size_t blocks = layout.blocks();
+  const std::size_t rows = features.rows();
   std::size_t width = static_cast<std::size_t>(config_.feature_dim);
+  const double* h = features.data();
 
-  if (config_.gnn_type == GnnType::kGcn && !gcn_.empty()) {
-    // Pad-free stacked GCN: per-block SpMM against each graph's own
-    // adjacency (bit-identical to block-diagonal SpMM), then one dense
-    // fused projection over the whole stack. Layer 0 reads features
-    // straight from the per-graph matrices — no stacking copy.
-    const double* h = nullptr;
-    for (std::size_t l = 0; l < gcn_.size(); ++l) {
-      const Lin& lin = gcn_[l];
-      double* propagated = arena_.alloc_doubles(total * width);
-      for (std::size_t b = 0; b < blocks; ++b) {
-        const double* src = (l == 0) ? graphs[b].features->data()
-                                     : h + layout.offset(b) * width;
-        k::spmm(*graphs[b].adjacency, src, width,
-                propagated + layout.offset(b) * width);
-      }
-      double* next = arena_.alloc_doubles(total * lin.out);
-      k::matmul_bias_act(propagated, total, width, lin.w, lin.out, lin.b,
-                         k::Activation::kRelu, next);
-      h = next;
-      width = lin.out;
-    }
-    return h;
+  // GCN: SpMM against the adjacency, then the fused dense projection.
+  for (const Lin& lin : gcn_) {
+    double* propagated = arena_.alloc_doubles(rows * width);
+    k::spmm(adjacency, h, width, propagated);
+    double* next = arena_.alloc_doubles(rows * lin.out);
+    k::matmul_bias_act(propagated, rows, width, lin.w, lin.out, lin.b,
+                       k::Activation::kRelu, next);
+    h = next;
+    width = lin.out;
   }
+  if (gat_.empty()) return h;  // GCN, or the zero-layer identity encoder
 
-  // GAT (and the zero-layer identity encoder) operate on a stacked
-  // feature matrix.
-  double* h = arena_.alloc_doubles(total * width);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const double* src = graphs[b].features->data();
-    std::copy(src, src + layout.rows(b) * width,
-              h + layout.offset(b) * width);
-  }
-  if (gat_.empty()) return h;
-
-  std::size_t scratch_len = 0;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    scratch_len = std::max(scratch_len, max_row_nnz(*graphs[b].adjacency));
-  }
-  double* scratch = arena_.alloc_doubles(scratch_len);
+  double* scratch = arena_.alloc_doubles(max_row_nnz(adjacency));
   for (const GatLayer& layer : gat_) {
     const std::size_t hidden = layer.proj.out;
-    double* z = arena_.alloc_doubles(total * hidden);
-    k::matmul_bias_act(h, total, width, layer.proj.w, hidden, layer.proj.b,
+    double* z = arena_.alloc_doubles(rows * hidden);
+    k::matmul_bias_act(h, rows, width, layer.proj.w, hidden, layer.proj.b,
                        k::Activation::kNone, z);
-    double* src = arena_.alloc_doubles(total);
-    double* dst = arena_.alloc_doubles(total);
-    k::matmul(z, total, hidden, layer.a_src, 1, src);
-    k::matmul(z, total, hidden, layer.a_dst, 1, dst);
-    double* aggregated = arena_.alloc_doubles(total * hidden);
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const std::size_t off = layout.offset(b);
-      k::gat_aggregate(*graphs[b].adjacency, src + off, dst + off,
-                       z + off * hidden, hidden, kLeakySlope, scratch,
-                       aggregated + off * hidden);
-    }
-    k::bias_relu(aggregated, total, hidden, nullptr, k::Activation::kRelu);
+    double* src = arena_.alloc_doubles(rows);
+    double* dst = arena_.alloc_doubles(rows);
+    k::matmul(z, rows, hidden, layer.a_src, 1, src);
+    k::matmul(z, rows, hidden, layer.a_dst, 1, dst);
+    double* aggregated = arena_.alloc_doubles(rows * hidden);
+    k::gat_aggregate(adjacency, src, dst, z, hidden, kLeakySlope, scratch,
+                     aggregated);
+    k::bias_relu(aggregated, rows, hidden, nullptr, k::Activation::kRelu);
     h = aggregated;
     width = hidden;
   }
@@ -211,86 +142,55 @@ const double* InferenceEngine::run_mlp(const std::vector<Lin>& head,
   return x;
 }
 
-void InferenceEngine::run(const GraphInput* graphs, std::size_t count,
-                          bool want_policy, bool want_values) {
+InferenceEngine::Output InferenceEngine::run(
+    const la::CsrMatrix& adjacency, const la::Matrix& features,
+    const std::vector<std::uint8_t>* action_mask, bool want_value) {
   namespace k = la::kernels;
+  NP_SPAN("nn.infer.forward");
+  static obs::Counter& forwards = obs::counter("nn.infer.forwards");
   static obs::Gauge& arena_bytes = obs::gauge("nn.infer.arena_bytes");
-  validate(graphs, count, want_policy);
+  forwards.add(1);
+  const std::size_t rows = features.rows();
+  const std::size_t m = static_cast<std::size_t>(config_.max_units_per_step);
+  NP_CHECK_DIMS(rows, features.cols(), -1, config_.feature_dim,
+                "InferenceEngine::run");
+  if (adjacency.rows() != rows) {
+    throw std::invalid_argument("InferenceEngine: adjacency/feature row mismatch");
+  }
+  if (action_mask != nullptr && action_mask->size() != rows * m) {
+    throw std::invalid_argument("InferenceEngine: bad action mask");
+  }
   arena_.reset();
-  out_.log_probs.clear();
-  out_.action_dims.clear();
-  out_.values.clear();
 
-  block_rows_.clear();
-  for (std::size_t g = 0; g < count; ++g) {
-    block_rows_.push_back(graphs[g].features->rows());
+  const double* embedding = encode(adjacency, features);
+  Output out;
+  if (action_mask != nullptr) {
+    // The actor's (rows x m) logits flatten row-major to the action
+    // layout.
+    const double* logits = run_mlp(actor_, embedding, rows);
+    out.action_dim = rows * m;
+    double* log_probs = arena_.alloc_doubles(out.action_dim);
+    k::masked_log_softmax(logits, action_mask->data(), out.action_dim, log_probs);
+    out.log_probs = log_probs;
   }
-  layout_.assign(block_rows_.data(), count);
-  const std::size_t total = layout_.total_rows();
-
-  const double* embedding = encode(graphs, layout_);
-
-  if (want_policy) {
-    const std::size_t m = static_cast<std::size_t>(config_.max_units_per_step);
-    // Stacked actor head: one fused pass over all nodes of all graphs.
-    // Graph b's logits are its rows of the stack, which flatten to the
-    // contiguous range [offset(b)*m, (offset(b)+rows(b))*m).
-    const double* logits = run_mlp(actor_, embedding, total);
-    for (std::size_t b = 0; b < count; ++b) {
-      const std::size_t dim = layout_.rows(b) * m;
-      double* lp = arena_.alloc_doubles(dim);
-      k::masked_log_softmax(logits + layout_.offset(b) * m,
-                            graphs[b].action_mask->data(), dim, lp);
-      out_.log_probs.push_back(lp);
-      out_.action_dims.push_back(dim);
-    }
-  }
-  if (want_values) {
-    double* pooled = arena_.alloc_doubles(count * encoder_dim_);
-    for (std::size_t b = 0; b < count; ++b) {
-      k::mean_rows(embedding + layout_.offset(b) * encoder_dim_,
-                   layout_.rows(b), encoder_dim_, pooled + b * encoder_dim_);
-    }
-    const double* values = run_mlp(critic_, pooled, count);
-    for (std::size_t b = 0; b < count; ++b) {
-      out_.values.push_back(values[b]);
-    }
+  if (want_value) {
+    double* pooled = arena_.alloc_doubles(encoder_dim_);
+    k::mean_rows(embedding, rows, encoder_dim_, pooled);
+    out.value = run_mlp(critic_, pooled, 1)[0];
   }
   arena_bytes.set(static_cast<double>(arena_.high_water_bytes()));
+  return out;
 }
 
 InferenceEngine::Output InferenceEngine::forward(
     const la::CsrMatrix& adjacency, const la::Matrix& features,
     const std::vector<std::uint8_t>& action_mask, bool want_value) {
-  NP_SPAN("nn.infer.forward");
-  static obs::Counter& forwards = obs::counter("nn.infer.forwards");
-  forwards.add(1);
-  GraphInput input{&adjacency, &features, &action_mask};
-  run(&input, 1, /*want_policy=*/true, want_value);
-  Output output;
-  output.log_probs = out_.log_probs[0];
-  output.action_dim = out_.action_dims[0];
-  output.value = want_value ? out_.values[0] : 0.0;
-  return output;
+  return run(adjacency, features, &action_mask, want_value);
 }
 
 double InferenceEngine::value(const la::CsrMatrix& adjacency,
                               const la::Matrix& features) {
-  NP_SPAN("nn.infer.forward");
-  static obs::Counter& forwards = obs::counter("nn.infer.forwards");
-  forwards.add(1);
-  GraphInput input{&adjacency, &features, nullptr};
-  run(&input, 1, /*want_policy=*/false, /*want_values=*/true);
-  return out_.values[0];
-}
-
-const InferenceEngine::BatchOutput& InferenceEngine::forward_ragged(
-    const GraphInput* graphs, std::size_t count, bool want_values) {
-  NP_SPAN("nn.infer.batch");
-  static obs::Counter& forwards = obs::counter("nn.infer.batch_forwards");
-  forwards.add(1);
-  run(graphs, count, /*want_policy=*/true, want_values);
-  return out_;
+  return run(adjacency, features, nullptr, /*want_value=*/true).value;
 }
 
 }  // namespace np::nn

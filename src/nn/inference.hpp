@@ -10,21 +10,17 @@
 // intermediate carved out of a preallocated la::Arena — steady-state
 // forwards perform ZERO heap allocations.
 //
-// The fast path is BIT-IDENTICAL to the tape path (not merely close):
-// every kernel reduces in the same ascending order as la::Matrix /
-// ad::Tape, so a trainer acting through the engine samples the exact
-// action sequence the tape would have sampled. That is what lets
-// NEUROPLAN_INFERENCE=fast stay the default without perturbing the
-// reproducibility guarantees (see docs/INTERNALS.md §8).
+// The engine is BIT-IDENTICAL to the tape (not merely close): every
+// kernel reduces in the same ascending order as la::Matrix / ad::Tape,
+// so a worker acting through the engine samples the exact action
+// sequence the tape would have sampled. The tape forward stays the
+// training path and the differential reference of the tests (see
+// docs/INTERNALS.md §8).
 //
-// Batching is ragged block-diagonal: heterogeneous node-count graphs
-// are stacked pad-free (la::RaggedLayout); sparse ops run per block
-// against each graph's own adjacency (bit-identical to a materialized
-// block-diagonal matrix), dense ops run once over the whole stack.
-//
-// Threading: an engine is single-threaded by design — rollout forwards
-// happen on the lockstep caller thread (env stepping is what is
-// pooled). Keep one engine per owning thread.
+// Threading: one engine per worker. An engine is single-threaded;
+// rollout workers each own one and run it on their own thread.
+// refresh() reads the live network, so refresh every engine before the
+// workers start and leave the weights alone until they finish.
 #pragma once
 
 #include <cstddef>
@@ -32,21 +28,9 @@
 #include <vector>
 
 #include "la/arena.hpp"
-#include "la/ragged.hpp"
 #include "nn/actor_critic.hpp"
 
 namespace np::nn {
-
-/// Which forward path acting uses. Training-time (update) forwards
-/// always go through the tape — gradients need it.
-enum class InferenceMode { kTape, kFast };
-
-/// Parse the NEUROPLAN_INFERENCE env var: "fast" (default) or "tape"
-/// (the escape hatch). Throws std::invalid_argument on anything else —
-/// a typo must not silently change the execution path.
-InferenceMode inference_mode_from_env();
-
-const char* to_string(InferenceMode mode);
 
 class InferenceEngine {
  public:
@@ -62,14 +46,6 @@ class InferenceEngine {
   /// Allocation-free after the first call: the packed buffers are
   /// arena-backed and layer shapes never change.
   void refresh();
-
-  struct GraphInput {
-    const la::CsrMatrix* adjacency = nullptr;
-    const la::Matrix* features = nullptr;
-    /// Required for policy forwards (size n * max_units_per_step);
-    /// ignored by value-only forwards.
-    const std::vector<std::uint8_t>* action_mask = nullptr;
-  };
 
   struct Output {
     /// Masked log-probabilities, `action_dim` entries. Arena-backed:
@@ -88,27 +64,11 @@ class InferenceEngine {
   /// Critic-only single forward, bit-identical to ActorCritic::value.
   double value(const la::CsrMatrix& adjacency, const la::Matrix& features);
 
-  struct BatchOutput {
-    std::vector<const double*> log_probs;  ///< per graph, arena-backed
-    std::vector<std::size_t> action_dims;  ///< per graph
-    std::vector<double> values;            ///< empty unless requested
-  };
-
-  /// Ragged block-diagonal batch over `count` graphs of (possibly)
-  /// different node counts. Per-graph outputs are bit-identical to
-  /// `count` single-graph forwards. The returned reference (and the
-  /// log_probs pointers inside) stay valid until the next
-  /// forward/refresh on this engine.
-  const BatchOutput& forward_ragged(const GraphInput* graphs, std::size_t count,
-                                    bool want_values);
-
   // Arena introspection, used by the zero-allocation tests and the
   // nn.infer.arena_bytes gauge.
   std::size_t arena_high_water_bytes() const { return arena_.high_water_bytes(); }
   std::size_t arena_capacity_bytes() const { return arena_.capacity_bytes(); }
   long arena_reallocations() const { return arena_.reallocations(); }
-
-  const NetworkConfig& config() const { return config_; }
 
  private:
   /// A packed linear layer: row-major weight (in x out) and bias (out).
@@ -126,17 +86,17 @@ class InferenceEngine {
 
   const double* pack(const la::Matrix& m);
   Lin pack_linear(const ad::Parameter& weight, const ad::Parameter& bias);
-  void validate(const GraphInput* graphs, std::size_t count,
-                bool want_policy) const;
-  /// Stacked encoder pass; returns the (total_rows x encoder_dim)
-  /// embedding in the arena.
-  const double* encode(const GraphInput* graphs, const la::RaggedLayout& layout);
-  /// Runs an MLP over a stacked (rows x head[0].in) input; returns the
+  /// Policy (when `action_mask` is set) and/or value forward over one
+  /// graph, sharing one encoder pass.
+  Output run(const la::CsrMatrix& adjacency, const la::Matrix& features,
+             const std::vector<std::uint8_t>* action_mask, bool want_value);
+  /// Encoder pass; returns the (rows x encoder_dim) embedding (in the
+  /// arena, or the features themselves for the identity encoder).
+  const double* encode(const la::CsrMatrix& adjacency, const la::Matrix& features);
+  /// Runs an MLP over a (rows x head[0].in) input; returns the
   /// (rows x head.back().out) output in the arena.
   const double* run_mlp(const std::vector<Lin>& head, const double* x,
                         std::size_t rows);
-  void run(const GraphInput* graphs, std::size_t count, bool want_policy,
-           bool want_values);
 
   ActorCritic* network_;
   NetworkConfig config_;
@@ -149,9 +109,6 @@ class InferenceEngine {
 
   la::Arena params_;  ///< packed parameter snapshot (reset by refresh)
   la::Arena arena_;   ///< per-forward intermediates (reset every run)
-  la::RaggedLayout layout_;
-  std::vector<std::size_t> block_rows_;  ///< scratch for layout_.assign
-  BatchOutput out_;
 };
 
 }  // namespace np::nn

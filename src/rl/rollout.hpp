@@ -2,21 +2,22 @@
 // single-process rendition).
 //
 // RolloutWorkers fills an epoch's step budget with K independent
-// PlanningEnv instances. Two modes:
+// workers. A worker is one PlanningEnv, one RNG stream, one tape-free
+// nn::InferenceEngine and its reused observation buffers. Every worker
+// runs the same serial acting loop over its own quota; the K loops run
+// as the K tasks of one thread-pool round per collect(). Two modes:
 //
-//  * Borrowed (K = 1): reuses the caller's env and RNG and replays the
-//    exact serial rollout loop of the original trainer — same forward
-//    passes, same RNG consumption — so `rollout_workers = 1` is
-//    bit-for-bit identical to the pre-threading trainer.
-//  * Owned (K > 1): owns K envs, each with its own RNG stream derived
-//    deterministically from (seed, worker index). Workers advance in
-//    lockstep rounds: the active workers' feature matrices are stacked
-//    into one batched network forward (block-diagonal adjacency), then
-//    actions are sampled and applied per worker in ascending worker
-//    order. Environment stepping (the LP feasibility checks) runs on a
-//    thread pool. Results depend only on (K, seed, network weights) —
-//    never on thread count or scheduling — so a K-worker run is
-//    reproducible anywhere.
+//  * Borrowed (K = 1): the worker's env and RNG are the caller's, and
+//    the pool has no threads, so the loop runs inline — the exact
+//    operation sequence and RNG consumption of the original serial
+//    trainer, so `rollout_workers = 1` is bit-for-bit that trainer.
+//  * Owned (K >= 1): owns K envs, each with its own RNG stream split
+//    deterministically from the seed in worker order.
+//
+// A worker's trajectory depends only on its env, its RNG stream and
+// the weights, which stay frozen during a collect. So results depend
+// only on (K, seed, network weights) — never on thread count or
+// scheduling — and a K-worker run is reproducible anywhere.
 //
 // The per-worker buffers are returned separately (concatenation order =
 // worker index) so the trainer can bootstrap GAE per worker without
@@ -29,7 +30,6 @@
 #include <vector>
 
 #include "la/matrix.hpp"
-#include "la/sparse.hpp"
 #include "nn/actor_critic.hpp"
 #include "nn/inference.hpp"
 #include "rl/env.hpp"
@@ -55,12 +55,8 @@ struct StepRecord {
   bool terminal = false;
 };
 
-/// Categorical sample over the masked entries of a 1 x k log-prob row.
-/// Consumes exactly one rng.uniform() call.
-int sample_from_log_probs(const la::Matrix& log_probs,
-                          const std::vector<std::uint8_t>& mask, Rng& rng);
-/// Raw-pointer variant (the tape-free path); the Matrix overload
-/// delegates here, so both consume RNG identically.
+/// Categorical sample over the masked entries of a log-prob row of
+/// mask.size() entries. Consumes exactly one rng.uniform() call.
 int sample_from_log_probs(const double* log_probs,
                           const std::vector<std::uint8_t>& mask, Rng& rng);
 
@@ -85,32 +81,19 @@ class RolloutWorkers {
 
   /// Owned mode: `workers` independent envs over `topology` (which must
   /// outlive this object), RNG streams derived from `seed`. Requires
-  /// workers >= 1; workers == 1 still uses the lockstep path (useful
-  /// for testing) — pass the borrowed constructor for seed parity.
+  /// workers >= 1; pass the borrowed constructor for seed parity with
+  /// the serial trainer.
   RolloutWorkers(const topo::Topology& topology, const EnvConfig& env_config,
                  nn::ActorCritic& network, int workers, unsigned seed);
 
   /// Collect `total_steps` env steps split across workers (worker w
   /// takes total/K steps, +1 for the first total%K workers). Every env
-  /// is reset at the start, finished trajectories reset and continue
-  /// until the worker's quota is filled. Returns one rollout per
-  /// worker, in worker order.
+  /// with a nonzero quota is reset at the start, finished trajectories
+  /// reset and continue until the worker's quota is filled. Returns one
+  /// rollout per worker, in worker order (empty for a zero quota). If
+  /// a worker throws, the first exception is rethrown once no worker
+  /// is running any more (ThreadPool::run_all).
   std::vector<WorkerRollout> collect(int total_steps);
-
-  int workers() const { return workers_; }
-  bool borrowed() const { return borrowed_env_ != nullptr; }
-
-  /// Acting-time forward path: kFast (default, from NEUROPLAN_INFERENCE)
-  /// runs action selection through the tape-free nn::InferenceEngine —
-  /// bit-identical to the tape, so both the borrowed-mode "bit-for-bit
-  /// the serial trainer" guarantee and the owned-mode (K, seed)
-  /// determinism hold in either mode. kTape is the escape hatch.
-  nn::InferenceMode inference_mode() const { return mode_; }
-  void set_inference_mode(nn::InferenceMode mode);
-  /// The engine backing fast-mode acting (nullptr in tape mode or
-  /// before the first fast collect). Exposed for arena introspection in
-  /// tests and benches.
-  const nn::InferenceEngine* inference_engine() const { return engine_.get(); }
 
   /// RNG states of the owned per-worker streams, worker-ordered
   /// (checkpointing). Empty in borrowed mode — the caller owns the RNG
@@ -130,30 +113,26 @@ class RolloutWorkers {
   double total_lp_seconds() const;
 
  private:
-  WorkerRollout collect_serial(PlanningEnv& env, Rng& rng, int steps);
-  std::vector<WorkerRollout> collect_lockstep(int total_steps);
-  /// Lazily build + re-snapshot the engine (weights change every epoch).
-  void prepare_engine();
+  struct Worker {
+    PlanningEnv* env = nullptr;
+    Rng* rng = nullptr;
+    /// Built on the first collect(), refreshed before every later one.
+    std::unique_ptr<nn::InferenceEngine> engine;
+    // Observation buffers reused across steps: the env writes into
+    // these (features_into/action_mask_into) and records COPY them, so
+    // per-step observation building allocates nothing once warm.
+    la::Matrix features;
+    std::vector<std::uint8_t> mask;
+  };
+
+  /// One worker's serial acting loop over `steps` env steps.
+  static WorkerRollout collect_serial(Worker& worker, int steps);
 
   nn::ActorCritic& network_;
-  int workers_ = 1;
-  nn::InferenceMode mode_ = nn::InferenceMode::kFast;
-  std::unique_ptr<nn::InferenceEngine> engine_;
-  // Observation buffers reused across steps/rounds: the envs write into
-  // these (features_into/action_mask_into) and records COPY them, so
-  // per-step observation building allocates nothing once warm.
-  std::vector<la::Matrix> feature_buffers_;
-  std::vector<std::vector<std::uint8_t>> mask_buffers_;
-  std::vector<nn::InferenceEngine::GraphInput> graph_inputs_;
-
-  // Borrowed mode.
-  PlanningEnv* borrowed_env_ = nullptr;
-  Rng* borrowed_rng_ = nullptr;
-
-  // Owned mode.
+  std::vector<Worker> workers_;
+  // Owned mode: the envs and RNG streams the workers point at.
   std::vector<std::unique_ptr<PlanningEnv>> envs_;
   std::vector<Rng> rngs_;
-  std::unique_ptr<la::BlockDiagonalCache> adjacency_cache_;
   std::unique_ptr<util::ThreadPool> pool_;
 };
 

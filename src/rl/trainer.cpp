@@ -259,21 +259,20 @@ void A2cTrainer::update_critic(const std::vector<StepRecord>& buffer,
   critic_optimizer_.step();
 }
 
-nn::InferenceEngine* A2cTrainer::acting_engine() {
-  if (nn::inference_mode_from_env() == nn::InferenceMode::kTape) return nullptr;
-  if (acting_engine_storage_ == nullptr) {
-    acting_engine_storage_ = std::make_unique<nn::InferenceEngine>(network_);
+nn::InferenceEngine& A2cTrainer::acting_engine() {
+  if (acting_engine_ == nullptr) {
+    acting_engine_ = std::make_unique<nn::InferenceEngine>(network_);
   } else {
-    acting_engine_storage_->refresh();
+    acting_engine_->refresh();
   }
-  return acting_engine_storage_.get();
+  return *acting_engine_;
 }
 
 A2cTrainer::PolicyEvaluation A2cTrainer::evaluate_policy(int rollouts) {
   if (rollouts < 1) throw std::invalid_argument("evaluate_policy: rollouts < 1");
   PolicyEvaluation eval;
   eval.rollouts = rollouts;
-  nn::InferenceEngine* engine = acting_engine();
+  nn::InferenceEngine& engine = acting_engine();
   double cost_sum = 0.0;
   double best = kUnset;
   for (int r = 0; r < rollouts; ++r) {
@@ -281,18 +280,9 @@ A2cTrainer::PolicyEvaluation A2cTrainer::evaluate_policy(int rollouts) {
     while (!env_.done()) {
       const la::Matrix features = env_.features();
       const std::vector<std::uint8_t> mask = env_.action_mask();
-      int action = -1;
-      if (engine != nullptr) {
-        const nn::InferenceEngine::Output out =
-            engine->forward(*env_.adjacency(), features, mask, /*want_value=*/false);
-        action = sample_from_log_probs(out.log_probs, mask, rng_);
-      } else {
-        ad::Tape tape;
-        ad::Tensor log_probs =
-            network_.policy_log_probs(tape, env_.adjacency(), features, mask);
-        action = sample_from_log_probs(tape.data(log_probs), mask, rng_);
-      }
-      const StepResult step = env_.step(action);
+      const nn::InferenceEngine::Output out =
+          engine.forward(*env_.adjacency(), features, mask, /*want_value=*/false);
+      const StepResult step = env_.step(sample_from_log_probs(out.log_probs, mask, rng_));
       if (step.feasible) {
         ++eval.feasible;
         const double cost = env_.added_cost();
@@ -316,32 +306,18 @@ A2cTrainer::PolicyEvaluation A2cTrainer::evaluate_policy(int rollouts) {
 bool A2cTrainer::greedy_rollout() {
   env_.reset();
   bool feasible = false;
-  nn::InferenceEngine* engine = acting_engine();
+  nn::InferenceEngine& engine = acting_engine();
   while (!env_.done()) {
     const la::Matrix features = env_.features();
     const std::vector<std::uint8_t> mask = env_.action_mask();
+    const nn::InferenceEngine::Output out =
+        engine.forward(*env_.adjacency(), features, mask, /*want_value=*/false);
     int action = -1;
-    if (engine != nullptr) {
-      const nn::InferenceEngine::Output out =
-          engine->forward(*env_.adjacency(), features, mask, /*want_value=*/false);
-      double best = -1e301;
-      for (std::size_t i = 0; i < mask.size(); ++i) {
-        if (mask[i] && out.log_probs[i] > best) {
-          best = out.log_probs[i];
-          action = static_cast<int>(i);
-        }
-      }
-    } else {
-      ad::Tape tape;
-      ad::Tensor log_probs =
-          network_.policy_log_probs(tape, env_.adjacency(), features, mask);
-      const double* lp = tape.data(log_probs);
-      double best = -1e301;
-      for (std::size_t i = 0; i < mask.size(); ++i) {
-        if (mask[i] && lp[i] > best) {
-          best = lp[i];
-          action = static_cast<int>(i);
-        }
+    double best = -1e301;
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+      if (mask[i] && out.log_probs[i] > best) {
+        best = out.log_probs[i];
+        action = static_cast<int>(i);
       }
     }
     if (action < 0) break;  // dead mask

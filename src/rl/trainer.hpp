@@ -60,8 +60,8 @@ struct TrainConfig {
   int patience = 0;
   /// Rollout workers K. 1 reuses the trainer's env/RNG and is
   /// bit-for-bit identical to the pre-threading serial trainer; K > 1
-  /// runs K independent envs in lockstep (deterministic for fixed K and
-  /// seed, regardless of thread count). See rl/rollout.hpp.
+  /// runs K independent envs, each on its own thread (deterministic for
+  /// fixed K and seed, regardless of thread count). See rl/rollout.hpp.
   int rollout_workers = 1;
   /// Recompute update-phase forwards in one batched pass per chunk
   /// (block-diagonal adjacency) instead of per step. Changes gradient
@@ -153,9 +153,8 @@ class A2cTrainer {
   void update_critic(const std::vector<StepRecord>& buffer,
                      const std::vector<double>& rewards_to_go);
   /// Tape-free engine for evaluate_policy/greedy_rollout action
-  /// selection (NEUROPLAN_INFERENCE=fast, the default); nullptr in tape
-  /// mode. Re-snapshots the current weights on every call.
-  nn::InferenceEngine* acting_engine();
+  /// selection. Re-snapshots the current weights on every call.
+  nn::InferenceEngine& acting_engine();
 
   static constexpr double kUnset = kUnsetCost;
 
@@ -166,7 +165,7 @@ class A2cTrainer {
   ad::Adam actor_optimizer_;
   ad::Adam critic_optimizer_;
   std::unique_ptr<RolloutWorkers> rollout_;
-  std::unique_ptr<nn::InferenceEngine> acting_engine_storage_;
+  std::unique_ptr<nn::InferenceEngine> acting_engine_;
   la::BlockDiagonalCache adjacency_cache_;  ///< for batched updates
   /// One tape for every update chunk of every epoch: its node storage
   /// grows inside the first update and is reused after that.

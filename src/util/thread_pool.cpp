@@ -24,8 +24,9 @@ obs::Gauge& queue_depth_gauge() {
 }
 
 obs::Histogram& queue_latency_histogram() {
-  // 1us .. ~4s: pool tasks are scenario groups / env-step rounds, so
-  // waits span from "popped immediately" to "behind a full round".
+  // 1us .. ~4s: pool tasks are scenario groups / rollout workers'
+  // acting loops, so waits span from "popped immediately" to "behind a
+  // whole collect".
   static obs::Histogram& h =
       obs::histogram("pool.task_queue_us", obs::exponential_buckets(1.0, 4.0, 12));
   return h;

@@ -1,6 +1,6 @@
 // Fixed-size worker-thread pool shared by the parallel subsystems
-// (plan::ParallelPlanEvaluator scenario groups, rl::RolloutWorkers env
-// stepping). Tasks are plain std::function<void()>; submit() hands back
+// (plan::ParallelPlanEvaluator scenario groups, rl::RolloutWorkers
+// acting loops). Tasks are plain std::function<void()>; submit() hands back
 // a future whose get() rethrows the task's exception.
 //
 // A pool of 0 workers is valid and runs everything inline on the

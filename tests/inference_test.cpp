@@ -1,22 +1,18 @@
 // Tape-free inference engine: kernel and whole-network differentials
-// against the tape (bit-identical, not merely close), ragged batching
-// vs per-graph forwards, steady-state zero-allocation guarantees, and
-// fast-vs-tape rollout determinism.
+// against the tape (bit-identical, not merely close) and steady-state
+// zero-allocation guarantees. Rollouts acting through the engine are
+// checked against a tape acting loop in rollout_test.cpp.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
 #include "ad/tape.hpp"
 #include "la/arena.hpp"
 #include "la/kernels.hpp"
-#include "la/ragged.hpp"
 #include "nn/actor_critic.hpp"
 #include "nn/inference.hpp"
 #include "reference_la.hpp"
-#include "rl/rollout.hpp"
-#include "topo/generator.hpp"
 #include "util/rng.hpp"
 
 namespace np {
@@ -115,27 +111,6 @@ TEST(InferenceArena, ReserveIsIdempotentWhenLargeEnough) {
   arena.reserve(1024);
   arena.reserve(4096);
   EXPECT_EQ(arena.reallocations(), once);
-}
-
-// ---- ragged layout ----
-
-TEST(InferenceRagged, LayoutComputesPrefixOffsets) {
-  la::RaggedLayout layout;
-  const std::size_t rows[3] = {4, 7, 2};
-  layout.assign(rows, 3);
-  EXPECT_EQ(layout.blocks(), 3u);
-  EXPECT_EQ(layout.total_rows(), 13u);
-  EXPECT_EQ(layout.offset(0), 0u);
-  EXPECT_EQ(layout.offset(1), 4u);
-  EXPECT_EQ(layout.offset(2), 11u);
-  EXPECT_EQ(layout.rows(1), 7u);
-}
-
-TEST(InferenceRagged, LayoutRejectsEmptyBlocks) {
-  la::RaggedLayout layout;
-  const std::size_t rows[2] = {3, 0};
-  EXPECT_THROW(layout.assign(rows, 2), std::invalid_argument);
-  EXPECT_THROW(layout.assign(rows, 0), std::invalid_argument);
 }
 
 // ---- kernels vs la/ad reference ----
@@ -249,6 +224,8 @@ void expect_engine_matches_tape(const DifferentialCase& c, unsigned seed) {
           << "log_prob " << i << " trial " << trial;
     }
     ASSERT_EQ(out.value, expected_value);
+    // The critic-only forward (the rollout's bootstrap value) too.
+    ASSERT_EQ(engine.value(*adjacency, features), expected_value);
   }
 }
 
@@ -304,51 +281,6 @@ TEST(InferenceEngineDifferential, RefreshPicksUpUpdatedWeights) {
   }
 }
 
-TEST(InferenceRagged, BatchBitIdenticalToPerGraphForwards) {
-  Rng init(51);
-  nn::NetworkConfig config;
-  config.feature_dim = 4;
-  config.gcn_layers = 2;
-  config.gcn_hidden = 12;
-  config.mlp_hidden = {16};
-  config.max_units_per_step = 3;
-  nn::ActorCritic network(config, init);
-  nn::InferenceEngine engine(network);
-  nn::InferenceEngine reference(network);
-
-  // Heterogeneous node counts — ragged, pad-free.
-  const int sizes[4] = {5, 11, 3, 8};
-  Rng data(52);
-  std::vector<std::shared_ptr<la::CsrMatrix>> adjacencies;
-  std::vector<Matrix> features;
-  std::vector<std::vector<std::uint8_t>> masks;
-  std::vector<nn::InferenceEngine::GraphInput> inputs;
-  for (int n : sizes) {
-    adjacencies.push_back(ring_adjacency(n));
-    features.push_back(random_matrix(n, 4, data));
-    masks.push_back(random_mask(static_cast<std::size_t>(n) * 3, data));
-  }
-  for (std::size_t g = 0; g < 4; ++g) {
-    inputs.push_back(nn::InferenceEngine::GraphInput{
-        adjacencies[g].get(), &features[g], &masks[g]});
-  }
-
-  const nn::InferenceEngine::BatchOutput& batch =
-      engine.forward_ragged(inputs.data(), inputs.size(), /*want_values=*/true);
-  ASSERT_EQ(batch.log_probs.size(), 4u);
-  ASSERT_EQ(batch.values.size(), 4u);
-  for (std::size_t g = 0; g < 4; ++g) {
-    const nn::InferenceEngine::Output single = reference.forward(
-        *adjacencies[g], features[g], masks[g], /*want_value=*/true);
-    ASSERT_EQ(batch.action_dims[g], single.action_dim);
-    for (std::size_t i = 0; i < single.action_dim; ++i) {
-      ASSERT_EQ(batch.log_probs[g][i], single.log_probs[i])
-          << "graph " << g << " entry " << i;
-    }
-    ASSERT_EQ(batch.values[g], single.value);
-  }
-}
-
 TEST(InferenceEngine, SteadyStateActingIsAllocationFree) {
   Rng init(61);
   nn::NetworkConfig config;
@@ -377,93 +309,6 @@ TEST(InferenceEngine, SteadyStateActingIsAllocationFree) {
   EXPECT_EQ(engine.arena_reallocations(), settled);
   EXPECT_EQ(engine.arena_high_water_bytes(), high_water);
   EXPECT_LE(engine.arena_high_water_bytes(), engine.arena_capacity_bytes());
-}
-
-// ---- rollout determinism: fast vs tape ----
-
-TEST(InferenceDeterminism, LockstepRolloutsIdenticalFastVsTape) {
-  const topo::Topology topology = topo::make_preset('A');
-  rl::EnvConfig env_config;
-  env_config.max_units_per_step = 4;
-  env_config.max_trajectory_steps = 64;
-
-  auto run = [&](nn::InferenceMode mode) {
-    Rng init(71);
-    nn::NetworkConfig net_config;
-    net_config.feature_dim = 4;
-    net_config.gcn_layers = 2;
-    net_config.gcn_hidden = 16;
-    net_config.mlp_hidden = {16};
-    nn::ActorCritic network(net_config, init);
-    rl::RolloutWorkers workers(topology, env_config, network, /*workers=*/3,
-                               /*seed=*/7);
-    workers.set_inference_mode(mode);
-    return workers.collect(90);
-  };
-
-  const std::vector<rl::WorkerRollout> fast = run(nn::InferenceMode::kFast);
-  const std::vector<rl::WorkerRollout> tape = run(nn::InferenceMode::kTape);
-  ASSERT_EQ(fast.size(), tape.size());
-  for (std::size_t w = 0; w < fast.size(); ++w) {
-    ASSERT_EQ(fast[w].records.size(), tape[w].records.size()) << "worker " << w;
-    for (std::size_t s = 0; s < fast[w].records.size(); ++s) {
-      // Identical action SEQUENCES require identical RNG consumption,
-      // which requires bit-identical log-probs at every step.
-      ASSERT_EQ(fast[w].records[s].action, tape[w].records[s].action)
-          << "worker " << w << " step " << s;
-      ASSERT_EQ(fast[w].records[s].log_prob, tape[w].records[s].log_prob);
-      ASSERT_EQ(fast[w].records[s].value, tape[w].records[s].value);
-      ASSERT_EQ(fast[w].records[s].reward, tape[w].records[s].reward);
-    }
-    ASSERT_EQ(fast[w].last_value, tape[w].last_value);
-    ASSERT_EQ(fast[w].best_cost, tape[w].best_cost);
-  }
-}
-
-TEST(InferenceDeterminism, BorrowedRolloutIdenticalFastVsTape) {
-  const topo::Topology topology = topo::make_preset('A');
-  rl::EnvConfig env_config;
-  env_config.max_units_per_step = 4;
-  env_config.max_trajectory_steps = 64;
-
-  auto run = [&](nn::InferenceMode mode) {
-    Rng init(81);
-    nn::NetworkConfig net_config;
-    net_config.feature_dim = 4;
-    net_config.gcn_layers = 2;
-    net_config.gcn_hidden = 16;
-    net_config.mlp_hidden = {16};
-    nn::ActorCritic network(net_config, init);
-    rl::PlanningEnv env(topology, env_config);
-    Rng rng(9);
-    rl::RolloutWorkers workers(env, rng, network);
-    workers.set_inference_mode(mode);
-    return workers.collect(60);
-  };
-
-  const std::vector<rl::WorkerRollout> fast = run(nn::InferenceMode::kFast);
-  const std::vector<rl::WorkerRollout> tape = run(nn::InferenceMode::kTape);
-  ASSERT_EQ(fast[0].records.size(), tape[0].records.size());
-  for (std::size_t s = 0; s < fast[0].records.size(); ++s) {
-    ASSERT_EQ(fast[0].records[s].action, tape[0].records[s].action) << s;
-    ASSERT_EQ(fast[0].records[s].log_prob, tape[0].records[s].log_prob);
-    ASSERT_EQ(fast[0].records[s].value, tape[0].records[s].value);
-  }
-  ASSERT_EQ(fast[0].last_value, tape[0].last_value);
-}
-
-// ---- env-var escape hatch ----
-
-TEST(InferenceMode, EnvVarParsesStrictly) {
-  ::unsetenv("NEUROPLAN_INFERENCE");
-  EXPECT_EQ(nn::inference_mode_from_env(), nn::InferenceMode::kFast);
-  ::setenv("NEUROPLAN_INFERENCE", "tape", 1);
-  EXPECT_EQ(nn::inference_mode_from_env(), nn::InferenceMode::kTape);
-  ::setenv("NEUROPLAN_INFERENCE", "fast", 1);
-  EXPECT_EQ(nn::inference_mode_from_env(), nn::InferenceMode::kFast);
-  ::setenv("NEUROPLAN_INFERENCE", "turbo", 1);
-  EXPECT_THROW(nn::inference_mode_from_env(), std::invalid_argument);
-  ::unsetenv("NEUROPLAN_INFERENCE");
 }
 
 }  // namespace

@@ -382,7 +382,7 @@ TEST(Trainer, SingleWorkerReproducesSerialTrainer) {
 }
 
 TEST(Trainer, MultiWorkerRolloutIsReproducible) {
-  // K = 4 lockstep rollouts must be a pure function of (seed, K):
+  // K = 4 rollouts must be a pure function of (seed, K):
   // identical stats across two runs regardless of thread scheduling.
   topo::Topology t = small_topology();
   TrainConfig c = smoke_config();

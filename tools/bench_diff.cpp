@@ -9,7 +9,7 @@
 //              [--threshold PCT] [--gate]
 //
 // Every numeric leaf is flattened to a dotted path (arrays by index:
-// modes[0].steps_per_sec), so the tool needs no knowledge of any
+// workers[0].steps_per_sec), so the tool needs no knowledge of any
 // bench's schema — new benches are covered the day they exist.
 // Mismatched schema_version fields are flagged: the numbers still
 // print, but the header says the comparison may be apples-to-oranges.

@@ -28,13 +28,9 @@
 // the checkpoint before (briefly) fine-tuning, so trained policies are
 // reusable across planning cycles. NEUROPLAN_ROLLOUT_WORKERS=<K> sets
 // the rollout worker count for `plan ... neuroplan` (default 1, the
-// bit-reproducible serial path).
-//
-// NEUROPLAN_INFERENCE=fast|tape selects the acting forward path:
-// "fast" (default) uses the tape-free nn::InferenceEngine, "tape" is
-// the escape hatch back to the autodiff forwards. The two are
-// bit-identical in actions and results; the switch exists for
-// debugging and A/B timing, not correctness.
+// serial trainer path). With K workers (here or `--rollout-workers K`)
+// each worker acts on its own env and thread; results depend only on
+// the seed and K, never on the core count.
 //
 // Plans are stored one integer per line (added units per link, in link
 // order). Exit code 0 = success / feasible, 1 = failure / infeasible,
@@ -79,10 +75,7 @@ int usage() {
                "  neuroplan_cli report <topo> <plan-file>\n"
                "global flags: [--metrics-out <file.jsonl>]"
                " [--trace-out <file.json>]\n"
-               "              [--flight-record-out <file.npcrash>]\n"
-               "env: NEUROPLAN_INFERENCE=fast|tape  acting forward path\n"
-               "     (fast = tape-free inference engine, the default;\n"
-               "      tape = autodiff forwards; bit-identical results)\n");
+               "              [--flight-record-out <file.npcrash>]\n");
   return 2;
 }
 
