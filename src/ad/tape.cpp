@@ -250,46 +250,6 @@ Tensor Tape::mean_rows(Tensor a) {
   return emit(n);
 }
 
-Tensor Tape::slice_rows(Tensor a, std::size_t begin, std::size_t count) {
-  const Node& x = node(a);
-  if (count == 0) throw std::invalid_argument("Tape::slice_rows: empty slice");
-  if (begin + count > x.rows) {
-    throw std::out_of_range("Tape::slice_rows: rows out of range");
-  }
-  double* out = alloc(count * x.cols);
-  std::copy(x.value + begin * x.cols, x.value + (begin + count) * x.cols, out);
-  Node n = make_node(Op::kSliceRows, count, x.cols, out, x.needs_grad);
-  n.in[0] = a.index;
-  n.aux = begin;
-  return emit(n);
-}
-
-Tensor Tape::mean_rows_segments(Tensor a, std::size_t segment) {
-  const Node& x = node(a);
-  if (segment == 0 || x.rows == 0 || x.rows % segment != 0) {
-    throw std::invalid_argument("Tape::mean_rows_segments: rows must be a "
-                                "positive multiple of segment");
-  }
-  const std::size_t segments = x.rows / segment;
-  const double inv = 1.0 / static_cast<double>(segment);
-  double* out = alloc(segments * x.cols);
-  std::fill(out, out + segments * x.cols, 0.0);
-  for (std::size_t s = 0; s < segments; ++s) {
-    double* orow = out + s * x.cols;
-    // Sum ascending then scale — matches mean_rows bitwise.
-    for (std::size_t r = s * segment; r < (s + 1) * segment; ++r) {
-      const double* xrow = x.value + r * x.cols;
-      for (std::size_t c = 0; c < x.cols; ++c) orow[c] += xrow[c];
-    }
-    for (std::size_t c = 0; c < x.cols; ++c) orow[c] *= inv;
-  }
-  Node n = make_node(Op::kMeanRowsSegments, segments, x.cols, out, x.needs_grad);
-  n.in[0] = a.index;
-  n.aux = segment;
-  n.scalar = inv;
-  return emit(n);
-}
-
 Tensor Tape::flatten_to_row(Tensor a) {
   const Node& x = node(a);
   // A reshape: the value is the input's storage, read-only.
@@ -554,18 +514,6 @@ void Tape::backward_node(const Node& self) {
         for (std::size_t r = 0; r < a.rows; ++r) {
           double* grow = a.grad + r * a.cols;
           for (std::size_t c = 0; c < a.cols; ++c) grow[c] += self.scalar * g[c];
-        }
-      }
-      return;
-    case Op::kSliceRows:
-      if (a.needs_grad) add_into(a.grad + self.aux * a.cols, g, count);
-      return;
-    case Op::kMeanRowsSegments:
-      if (a.needs_grad) {
-        for (std::size_t r = 0; r < a.rows; ++r) {
-          const double* srow = g + (r / self.aux) * a.cols;
-          double* grow = a.grad + r * a.cols;
-          for (std::size_t c = 0; c < a.cols; ++c) grow[c] += self.scalar * srow[c];
         }
       }
       return;

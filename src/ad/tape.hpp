@@ -89,18 +89,6 @@ class Tape {
   /// n x c -> 1 x c column means (graph pooling for the critic).
   Tensor mean_rows(Tensor a);
 
-  /// Rows [begin, begin+count) of an n x c matrix -> count x c copy.
-  /// Backward scatters into exactly those rows. Used to split a batched
-  /// (steps*n) x c encoder output back into per-step blocks.
-  Tensor slice_rows(Tensor a, std::size_t begin, std::size_t count);
-
-  /// (s*segment) x c -> s x c: row r of the output is the column mean of
-  /// input rows [r*segment, (r+1)*segment). Each segment is summed in
-  /// ascending row order then scaled, so segment s of the result is
-  /// bit-identical to mean_rows over that block alone. Rows must divide
-  /// evenly by `segment`.
-  Tensor mean_rows_segments(Tensor a, std::size_t segment);
-
   /// n x m -> 1 x (n*m) row-major flatten (per-link logits -> action logits).
   Tensor flatten_to_row(Tensor a);
 
@@ -166,8 +154,6 @@ class Tape {
     kSpmm,
     kAddRowBroadcast,
     kMeanRows,
-    kSliceRows,
-    kMeanRowsSegments,
     kFlatten,
     kSum,
     kPick,
@@ -188,7 +174,7 @@ class Tape {
     Op op = Op::kConstant;
     bool needs_grad = false;
     double scalar = 0.0;            ///< scale factor, 1/n, leaky slope
-    std::size_t aux = 0;            ///< slice begin, segment, picked offset
+    std::size_t aux = 0;            ///< picked offset
     const void* extra = nullptr;    ///< CSR lhs, neighbor lists, mask bytes
     const double* saved = nullptr;  ///< softmax probs, attention weights
     std::size_t size() const { return rows * cols; }
@@ -211,7 +197,8 @@ class Tape {
     if (held_.empty() || held_.back().get() != owner.get()) held_.emplace_back(owner);
   }
   /// Transpose of a node value. A parameter's is cached for one
-  /// backward() (a weight is transposed once, not once per step).
+  /// backward() (a weight used by every step of a chunk is transposed
+  /// once); nothing survives clear().
   const double* transposed(const Node& n);
   /// Scatter this node's gradient into its parents' gradients.
   void backward_node(const Node& n);

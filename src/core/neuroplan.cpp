@@ -26,7 +26,6 @@ rl::TrainConfig default_train_config(const topo::Topology& topology, unsigned se
   config.network.gcn_hidden = 32;
   config.network.mlp_hidden = {64, 64};
   config.steps_per_epoch = 384;
-  config.chunk_steps = 96;
   // CPU-budget adaptation of Table 2 (see DESIGN.md): 10x learning
   // rates, PPO-clipped multi-iteration updates, far fewer epochs.
   config.actor_learning_rate = 3e-3;

@@ -65,7 +65,7 @@ void bias_relu(double* x, std::size_t n, std::size_t m, const double* bias,
                Activation act);
 
 /// out (1 x c) = column means of x (n x c), sum-ascending-then-scale —
-/// bit-identical to Tape::mean_rows / mean_rows_segments per segment.
+/// bit-identical to Tape::mean_rows.
 void mean_rows(const double* x, std::size_t n, std::size_t c, double* out);
 
 /// Masked log-softmax over a length-k row: invalid entries get -1e30,

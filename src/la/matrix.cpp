@@ -177,26 +177,6 @@ std::string Matrix::shape_string() const {
   return std::to_string(rows_) + "x" + std::to_string(cols_);
 }
 
-Matrix vstack(const std::vector<const Matrix*>& parts) {
-  if (parts.empty()) throw std::invalid_argument("vstack: no matrices");
-  std::size_t rows = 0;
-  const std::size_t cols = parts.front()->cols();
-  for (const Matrix* part : parts) {
-    if (part == nullptr) throw std::invalid_argument("vstack: null matrix");
-    if (part->cols() != cols) {
-      throw std::invalid_argument("vstack: column mismatch " + part->shape_string());
-    }
-    rows += part->rows();
-  }
-  Matrix out(rows, cols);
-  double* dst = out.data();
-  for (const Matrix* part : parts) {
-    std::copy(part->data(), part->data() + part->size(), dst);
-    dst += part->size();
-  }
-  return out;
-}
-
 double max_abs_diff(const Matrix& a, const Matrix& b) {
   if (!a.same_shape(b)) {
     throw std::invalid_argument("max_abs_diff: shape mismatch");

@@ -106,8 +106,4 @@ class Matrix {
 /// max |a - b| over entries; requires same shape.
 double max_abs_diff(const Matrix& a, const Matrix& b);
 
-/// Stack matrices vertically (equal column counts required). Used to
-/// batch per-step node-feature matrices into one forward pass.
-Matrix vstack(const std::vector<const Matrix*>& parts);
-
 }  // namespace np::la

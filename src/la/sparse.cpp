@@ -75,48 +75,6 @@ Matrix CsrMatrix::to_dense() const {
   return out;
 }
 
-CsrMatrix block_diagonal(const CsrMatrix& a, int copies) {
-  if (copies < 1) throw std::invalid_argument("block_diagonal: copies must be >= 1");
-  const std::size_t n = static_cast<std::size_t>(copies);
-  CsrMatrix out;
-  out.rows_ = a.rows_ * n;
-  out.cols_ = a.cols_ * n;
-  out.row_offsets_.reserve(out.rows_ + 1);
-  out.col_indices_.reserve(a.nnz() * n);
-  out.values_.reserve(a.nnz() * n);
-  out.row_offsets_.push_back(0);
-  for (std::size_t b = 0; b < n; ++b) {
-    const std::size_t col_shift = b * a.cols_;
-    for (std::size_t r = 0; r < a.rows_; ++r) {
-      for (std::size_t k = a.row_offsets_[r]; k < a.row_offsets_[r + 1]; ++k) {
-        out.col_indices_.push_back(a.col_indices_[k] + col_shift);
-        out.values_.push_back(a.values_[k]);
-      }
-      out.row_offsets_.push_back(out.col_indices_.size());
-    }
-  }
-  NP_CHECK_CSR(out.rows_, out.cols_, out.row_offsets_, out.col_indices_,
-               out.values_.size(), "block_diagonal");
-  return out;
-}
-
-BlockDiagonalCache::BlockDiagonalCache(std::shared_ptr<const CsrMatrix> base)
-    : base_(std::move(base)) {
-  if (base_ == nullptr) {
-    throw std::invalid_argument("BlockDiagonalCache: null base matrix");
-  }
-}
-
-std::shared_ptr<const CsrMatrix> BlockDiagonalCache::get(int copies) {
-  if (copies < 1) throw std::invalid_argument("BlockDiagonalCache: copies < 1");
-  if (copies == 1) return base_;
-  auto it = cache_.find(copies);
-  if (it != cache_.end()) return it->second;
-  auto built = std::make_shared<const CsrMatrix>(block_diagonal(*base_, copies));
-  cache_.emplace(copies, built);
-  return built;
-}
-
 double CsrMatrix::at(std::size_t r, std::size_t c) const {
   if (r >= rows_ || c >= cols_) throw std::out_of_range("CsrMatrix::at");
   for (std::size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {

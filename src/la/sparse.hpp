@@ -4,8 +4,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "la/matrix.hpp"
@@ -51,34 +49,11 @@ class CsrMatrix {
   const std::vector<double>& values() const { return values_; }
 
  private:
-  friend CsrMatrix block_diagonal(const CsrMatrix& a, int copies);
-
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<std::size_t> row_offsets_;  // size rows_+1
   std::vector<std::size_t> col_indices_;
   std::vector<double> values_;
-};
-
-/// `copies` copies of `a` along the diagonal: ((copies*rows) x
-/// (copies*cols)). Row-wise multiply results are bit-identical to
-/// multiplying each block separately, which is what makes batched GNN
-/// forwards over stacked per-step feature matrices exact.
-CsrMatrix block_diagonal(const CsrMatrix& a, int copies);
-
-/// Memoizes block_diagonal replications of one base matrix by copy
-/// count (batched trainers reuse the same few chunk/batch sizes every
-/// epoch). Not thread-safe; keep one per owner.
-class BlockDiagonalCache {
- public:
-  explicit BlockDiagonalCache(std::shared_ptr<const CsrMatrix> base);
-
-  /// copies == 1 returns the base matrix itself.
-  std::shared_ptr<const CsrMatrix> get(int copies);
-
- private:
-  std::shared_ptr<const CsrMatrix> base_;
-  std::unordered_map<int, std::shared_ptr<const CsrMatrix>> cache_;
 };
 
 }  // namespace np::la

@@ -64,73 +64,6 @@ ad::Tensor ActorCritic::value(ad::Tape& tape,
   return critic_.forward(tape, tape.mean_rows(embedding));
 }
 
-ActorCritic::BatchedForward ActorCritic::forward_batch(
-    ad::Tape& tape, std::shared_ptr<const la::CsrMatrix> block_adjacency,
-    const la::Matrix& stacked_features,
-    const std::vector<const std::vector<std::uint8_t>*>& action_masks,
-    bool want_values) {
-  NP_SPAN("nn.forward_batch");
-  static obs::Counter& forwards = obs::counter("nn.batch_forwards");
-  forwards.add(1);
-  NP_CHECK_DIMS(stacked_features.rows(), stacked_features.cols(), -1,
-                config_.feature_dim, "ActorCritic::forward_batch");
-  const std::size_t steps = action_masks.size();
-  if (steps == 0) throw std::invalid_argument("forward_batch: no steps");
-  if (stacked_features.rows() % steps != 0) {
-    throw std::invalid_argument("forward_batch: feature rows not divisible by steps");
-  }
-  const std::size_t n = stacked_features.rows() / steps;
-  const std::size_t action_dim = n * static_cast<std::size_t>(config_.max_units_per_step);
-  for (const auto* mask : action_masks) {
-    if (mask == nullptr || mask->size() != action_dim) {
-      throw std::invalid_argument("forward_batch: bad action mask");
-    }
-  }
-  if (block_adjacency == nullptr ||
-      block_adjacency->rows() != stacked_features.rows()) {
-    throw std::invalid_argument("forward_batch: adjacency/feature mismatch");
-  }
-
-  ad::Tensor embedding = encoder_->forward(tape, std::move(block_adjacency),
-                                           tape.constant(stacked_features));
-  BatchedForward out;
-  out.log_probs.reserve(steps);
-  ad::Tensor logits = actor_.forward(tape, embedding);  // (steps*n) x m
-  for (std::size_t s = 0; s < steps; ++s) {
-    ad::Tensor step_logits = tape.slice_rows(logits, s * n, n);
-    out.log_probs.push_back(
-        tape.masked_log_softmax(tape.flatten_to_row(step_logits), *action_masks[s]));
-  }
-  if (want_values) {
-    ad::Tensor pooled = tape.mean_rows_segments(embedding, n);  // steps x h
-    ad::Tensor values = critic_.forward(tape, pooled);          // steps x 1
-    out.values.reserve(steps);
-    for (std::size_t s = 0; s < steps; ++s) {
-      out.values.push_back(tape.pick(values, s, 0));
-    }
-  }
-  return out;
-}
-
-ad::Tensor ActorCritic::value_batch(
-    ad::Tape& tape, std::shared_ptr<const la::CsrMatrix> block_adjacency,
-    const la::Matrix& stacked_features, std::size_t steps) {
-  NP_SPAN("nn.value_batch");
-  NP_CHECK_DIMS(stacked_features.rows(), stacked_features.cols(), -1,
-                config_.feature_dim, "ActorCritic::value_batch");
-  if (steps == 0 || stacked_features.rows() % steps != 0) {
-    throw std::invalid_argument("value_batch: feature rows not divisible by steps");
-  }
-  if (block_adjacency == nullptr ||
-      block_adjacency->rows() != stacked_features.rows()) {
-    throw std::invalid_argument("value_batch: adjacency/feature mismatch");
-  }
-  const std::size_t n = stacked_features.rows() / steps;
-  ad::Tensor embedding = encoder_->forward(tape, std::move(block_adjacency),
-                                           tape.constant(stacked_features));
-  return critic_.forward(tape, tape.mean_rows_segments(embedding, n));
-}
-
 int ActorCritic::encode_action(ActionId action) const {
   if (action.units < 1 || action.units > config_.max_units_per_step) {
     throw std::invalid_argument("encode_action: units out of range");

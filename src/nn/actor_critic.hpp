@@ -55,29 +55,6 @@ class ActorCritic {
                    std::shared_ptr<const la::CsrMatrix> adjacency,
                    const la::Matrix& features);
 
-  /// One policy (and optionally value) forward over `steps` stacked
-  /// states sharing a single encoder pass. `block_adjacency` must be
-  /// the `steps`-fold block_diagonal of the per-state adjacency and
-  /// `stacked_features` the vstack of the per-state feature matrices.
-  /// Per-step outputs are bit-identical to the per-step overloads above
-  /// because every op involved works row-wise (see DESIGN.md).
-  struct BatchedForward {
-    std::vector<ad::Tensor> log_probs;  ///< one 1 x (n*m) tensor per step
-    std::vector<ad::Tensor> values;     ///< one 1 x 1 tensor per step; empty
-                                        ///< unless want_values
-  };
-  BatchedForward forward_batch(
-      ad::Tape& tape, std::shared_ptr<const la::CsrMatrix> block_adjacency,
-      const la::Matrix& stacked_features,
-      const std::vector<const std::vector<std::uint8_t>*>& action_masks,
-      bool want_values);
-
-  /// Critic-only batched forward: `steps` x 1 value estimates from one
-  /// shared encoder pass (row s is bit-identical to value() on state s).
-  ad::Tensor value_batch(ad::Tape& tape,
-                         std::shared_ptr<const la::CsrMatrix> block_adjacency,
-                         const la::Matrix& stacked_features, std::size_t steps);
-
   int encode_action(ActionId action) const;
   ActionId decode_action(int flat_index) const;
 

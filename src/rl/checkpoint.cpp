@@ -107,13 +107,12 @@ void read_matrix_line(std::istream& in, const char* tag, la::Matrix& m) {
 /// checkpoint resumed under a different one of these would silently
 /// diverge from the uninterrupted run, so the loader rejects it.
 /// Deliberately absent: epochs / patience (extending a run is legal),
-/// evaluator threading and scenario budgets (they change wall-clock,
-/// not results), checkpoint settings themselves.
+/// chunk_steps, evaluator threading and scenario budgets (they change
+/// wall-clock or memory, not results), checkpoint settings themselves.
 std::uint64_t config_fingerprint(const TrainConfig& config) {
   std::ostringstream canon;
   canon << config.seed << ' ' << config.steps_per_epoch << ' '
-        << config.rollout_workers << ' ' << config.chunk_steps << ' '
-        << config.update_iterations << ' ' << config.batched_updates << ' '
+        << config.rollout_workers << ' ' << config.update_iterations << ' '
         << hex_double(config.ppo_clip) << ' '
         << hex_double(config.entropy_coefficient) << ' '
         << hex_double(config.actor_learning_rate) << ' '

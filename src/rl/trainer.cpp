@@ -28,8 +28,7 @@ A2cTrainer::A2cTrainer(const topo::Topology& topology, const TrainConfig& config
       env_(topology, config.env),
       network_(reconcile(config), rng_),
       actor_optimizer_(ad::AdamConfig{.learning_rate = config.actor_learning_rate}),
-      critic_optimizer_(ad::AdamConfig{.learning_rate = config.critic_learning_rate}),
-      adjacency_cache_(env_.adjacency()) {
+      critic_optimizer_(ad::AdamConfig{.learning_rate = config.critic_learning_rate}) {
   if (config.steps_per_epoch < 1 || config.epochs < 1 || config.chunk_steps < 1) {
     throw std::invalid_argument("A2cTrainer: epochs/steps/chunk must be positive");
   }
@@ -148,19 +147,6 @@ EpochStats A2cTrainer::run_epoch() {
   return stats;
 }
 
-namespace {
-
-/// Stack the chunk's feature matrices for one batched forward.
-la::Matrix stack_chunk_features(const std::vector<StepRecord>& buffer,
-                                std::size_t begin, std::size_t end) {
-  std::vector<const la::Matrix*> parts;
-  parts.reserve(end - begin);
-  for (std::size_t i = begin; i < end; ++i) parts.push_back(&buffer[i].features);
-  return la::vstack(parts);
-}
-
-}  // namespace
-
 void A2cTrainer::update_policy(const std::vector<StepRecord>& buffer,
                                const std::vector<double>& advantages) {
   NP_SPAN("train.update_policy");
@@ -171,27 +157,17 @@ void A2cTrainer::update_policy(const std::vector<StepRecord>& buffer,
         std::min(buffer.size(), begin + static_cast<std::size_t>(config_.chunk_steps));
     ad::Tape& tape = update_tape_;
     tape.clear();
-    // Per-step log-prob tensors; batched mode shares one encoder/actor
-    // forward across the chunk (same values, ulp-different gradients —
-    // see TrainConfig::batched_updates).
     std::vector<ad::Tensor>& step_log_probs = chunk_outputs_;
     step_log_probs.clear();
-    if (config_.batched_updates) {
-      std::vector<const std::vector<std::uint8_t>*> masks;
-      masks.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) masks.push_back(&buffer[i].mask);
-      const la::Matrix stacked = stack_chunk_features(buffer, begin, end);
-      auto forward = network_.forward_batch(
-          tape, adjacency_cache_.get(static_cast<int>(end - begin)), stacked,
-          masks, /*want_values=*/false);
-      step_log_probs = std::move(forward.log_probs);
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        step_log_probs.push_back(network_.policy_log_probs(
-            tape, env_.adjacency(), buffer[i].features, buffer[i].mask));
-      }
+    for (std::size_t i = begin; i < end; ++i) {
+      step_log_probs.push_back(network_.policy_log_probs(
+          tape, env_.adjacency(), buffer[i].features, buffer[i].mask));
     }
     ad::Tensor loss = tape.scalar(0.0);
+    // A chunk whose every step takes the clipped branch, with no
+    // entropy bonus, leaves `loss` the constant 0: there is nothing to
+    // propagate, and skipping it adds the same +0.0 to Parameter::grad.
+    bool has_term = false;
     for (std::size_t i = begin; i < end; ++i) {
       ad::Tensor log_probs = step_log_probs[i - begin];
       ad::Tensor logp =
@@ -207,18 +183,21 @@ void A2cTrainer::update_policy(const std::vector<StepRecord>& buffer,
         const double adv = advantages[i];
         if (r * adv <= clipped * adv + 1e-15) {
           loss = tape.add(loss, tape.scale(ratio, -adv * inv_n));
+          has_term = true;
         }
       } else {
         // Algorithm 1's plain policy-gradient loss: -(advantage * logp).
         loss = tape.add(loss, tape.scale(logp, -advantages[i] * inv_n));
+        has_term = true;
       }
       if (config_.entropy_coefficient > 0.0) {
         ad::Tensor entropy = tape.entropy_from_log_probs(log_probs);
         loss = tape.add(loss,
                         tape.scale(entropy, -config_.entropy_coefficient * inv_n));
+        has_term = true;
       }
     }
-    tape.backward(loss);  // accumulates into actor + gnn parameter grads
+    if (has_term) tape.backward(loss);  // accumulates into actor + gnn grads
   }
   actor_optimizer_.step();
 }
@@ -235,19 +214,8 @@ void A2cTrainer::update_critic(const std::vector<StepRecord>& buffer,
     tape.clear();
     std::vector<ad::Tensor>& step_values = chunk_outputs_;
     step_values.clear();
-    if (config_.batched_updates) {
-      const la::Matrix stacked = stack_chunk_features(buffer, begin, end);
-      ad::Tensor values = network_.value_batch(
-          tape, adjacency_cache_.get(static_cast<int>(end - begin)), stacked,
-          end - begin);
-      for (std::size_t i = begin; i < end; ++i) {
-        step_values.push_back(tape.pick(values, i - begin, 0));
-      }
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        step_values.push_back(
-            network_.value(tape, env_.adjacency(), buffer[i].features));
-      }
+    for (std::size_t i = begin; i < end; ++i) {
+      step_values.push_back(network_.value(tape, env_.adjacency(), buffer[i].features));
     }
     ad::Tensor loss = tape.scalar(0.0);
     for (std::size_t i = begin; i < end; ++i) {

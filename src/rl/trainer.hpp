@@ -11,9 +11,11 @@
 //
 // Implementation note: the rollout stores compact per-step records
 // (features, mask, action, reward, value); the update phase recomputes
-// forward passes in bounded-size chunks so tape memory stays O(chunk)
-// instead of O(epoch) — gradients of a sum accumulate across chunk
-// backward passes before each Adam step.
+// each step's forward on a tape of TrainConfig::chunk_steps steps (one
+// by default), so tape memory stays O(chunk) instead of O(epoch).
+// Every step's parameter-leaf gradients reach Parameter::grad in step
+// order whatever the chunk size, so the gradient of the epoch loss, and
+// each Adam step, is the same bit for bit.
 //
 // Concurrency model: the trainer is single-threaded orchestration.
 // Parallelism lives below it — rollout workers own disjoint env/RNG
@@ -53,7 +55,10 @@ struct TrainConfig {
   /// > 1 stable (the paper implements its agent on the SpinningUp
   /// framework, which ships exactly this objective).
   double ppo_clip = 0.0;
-  int chunk_steps = 64;          ///< tape-memory bound for the update phase
+  /// Steps recorded on one update tape before its backward(). Bounds
+  /// tape memory only: results do not depend on it. At 1 a tape holds
+  /// one step and stays in cache.
+  int chunk_steps = 1;
   unsigned seed = 1;
   /// Stop early after this many epochs without improving the best
   /// feasible cost (0 disables).
@@ -63,11 +68,6 @@ struct TrainConfig {
   /// runs K independent envs, each on its own thread (deterministic for
   /// fixed K and seed, regardless of thread count). See rl/rollout.hpp.
   int rollout_workers = 1;
-  /// Recompute update-phase forwards in one batched pass per chunk
-  /// (block-diagonal adjacency) instead of per step. Changes gradient
-  /// summation order by ulps — off by default to preserve bit-exact
-  /// reproducibility with the serial trainer.
-  bool batched_updates = false;
   /// Crash safety: save a full-state checkpoint to checkpoint_path
   /// every this many epochs (and again on early stop and completion).
   /// 0 disables. Snapshots are written atomically, so a crash mid-save
@@ -166,7 +166,6 @@ class A2cTrainer {
   ad::Adam critic_optimizer_;
   std::unique_ptr<RolloutWorkers> rollout_;
   std::unique_ptr<nn::InferenceEngine> acting_engine_;
-  la::BlockDiagonalCache adjacency_cache_;  ///< for batched updates
   /// One tape for every update chunk of every epoch: its node storage
   /// grows inside the first update and is reused after that.
   ad::Tape update_tape_;

@@ -1,8 +1,13 @@
 #include "topo/serialize.hpp"
 
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/check.hpp"
 
@@ -26,40 +31,200 @@ std::string quoted(const std::string& name) {
   return out;
 }
 
-std::string read_token(std::istringstream& is, int line) {
-  is >> std::ws;
-  if (is.peek() != '"') {
-    std::string token;
-    if (!(is >> token)) parse_error(line, "expected token");
-    return token;
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// The rest of one record line, consumed from the front the way
+/// std::istream's extractors consume it: every read skips leading
+/// whitespace, then takes the longest prefix its grammar accepts.
+struct Fields {
+  std::string_view rest;
+  int line = 0;
+
+  void skip_space() {
+    std::size_t i = 0;
+    while (i < rest.size() && is_space(rest[i])) ++i;
+    rest.remove_prefix(i);
   }
-  is.get();  // opening quote
+
+  /// The next whitespace-delimited word; empty at the end of the line.
+  std::string_view word() {
+    skip_space();
+    std::size_t i = 0;
+    while (i < rest.size() && !is_space(rest[i])) ++i;
+    const std::string_view out = rest.substr(0, i);
+    rest.remove_prefix(i);
+    return out;
+  }
+};
+
+std::string read_token(Fields& f) {
+  f.skip_space();
+  if (f.rest.empty() || f.rest.front() != '"') {
+    const std::string_view token = f.word();
+    if (token.empty()) parse_error(f.line, "expected token");
+    return std::string(token);
+  }
   std::string out;
-  for (;;) {
-    const int c = is.get();
-    if (c == EOF) parse_error(line, "unterminated quoted string");
-    if (c == '\\') {
-      const int next = is.get();
-      if (next == EOF) parse_error(line, "dangling escape");
-      out += static_cast<char>(next);
-      continue;
+  std::size_t i = 1;  // past the opening quote
+  for (;; ++i) {
+    if (i >= f.rest.size()) parse_error(f.line, "unterminated quoted string");
+    if (f.rest[i] == '"') break;
+    if (f.rest[i] == '\\' && ++i >= f.rest.size()) {
+      parse_error(f.line, "dangling escape");
     }
-    if (c == '"') break;
-    out += static_cast<char>(c);
+    out += f.rest[i];
   }
+  f.rest.remove_prefix(i + 1);
   return out;
 }
 
-double read_double(std::istringstream& is, int line) {
+std::size_t skip_sign(std::string_view s, std::size_t i) {
+  return i < s.size() && (s[i] == '+' || s[i] == '-') ? i + 1 : i;
+}
+
+std::size_t skip_digits(std::string_view s, std::size_t i) {
+  while (i < s.size() && is_digit(s[i])) ++i;
+  return i;
+}
+
+/// Length of the longest prefix of `s` that std::istream takes for a
+/// double: [+-] digits [. digits] [(e|E) [+-] digits], with an exponent
+/// only after a digit.
+std::size_t float_prefix(std::string_view s) {
+  std::size_t i = skip_sign(s, 0);
+  bool digit = false;
+  bool dot = false;
+  for (; i < s.size(); ++i) {
+    if (is_digit(s[i])) {
+      digit = true;
+    } else if (s[i] == '.' && !dot) {
+      dot = true;
+    } else if ((s[i] == 'e' || s[i] == 'E') && digit) {
+      return skip_digits(s, skip_sign(s, i + 1));
+    } else {
+      break;
+    }
+  }
+  return i;
+}
+
+/// The prefix without a leading '+', which std::from_chars rejects.
+std::string_view without_plus(std::string_view prefix) {
+  if (!prefix.empty() && prefix.front() == '+') prefix.remove_prefix(1);
+  return prefix;
+}
+
+/// The whole prefix must convert, as std::istream requires ("1e" is an
+/// error). Non-finite values are rejected: "inf" and "nan" never form a
+/// prefix, and a literal beyond double's range is an error.
+double read_double(Fields& f) {
+  f.skip_space();
+  const std::size_t length = float_prefix(f.rest);
+  const std::string_view digits = without_plus(f.rest.substr(0, length));
+  const char* last = digits.data() + digits.size();
   double value = 0.0;
-  if (!(is >> value)) parse_error(line, "expected number");
+  const auto [end, ec] = std::from_chars(digits.data(), last, value);
+  if (ec == std::errc::result_out_of_range && end == last) {
+    // Underflow reads as strtod's tiny value or signed zero, as
+    // std::istream reads it; overflow gives an infinity, rejected below.
+    value = std::strtod(std::string(digits).c_str(), nullptr);
+  } else if (ec != std::errc() || end != last) {
+    parse_error(f.line, "expected number");
+  }
+  if (!std::isfinite(value)) parse_error(f.line, "expected number");
+  f.rest.remove_prefix(length);
   return value;
 }
 
-int read_int(std::istringstream& is, int line) {
+/// [+-] digits, within int's range.
+int read_int(Fields& f) {
+  f.skip_space();
+  const std::size_t length = skip_digits(f.rest, skip_sign(f.rest, 0));
+  const std::string_view digits = without_plus(f.rest.substr(0, length));
+  const char* last = digits.data() + digits.size();
   int value = 0;
-  if (!(is >> value)) parse_error(line, "expected integer");
+  const auto [end, ec] = std::from_chars(digits.data(), last, value);
+  if (ec != std::errc() || end != last) parse_error(f.line, "expected integer");
+  f.rest.remove_prefix(length);
   return value;
+}
+
+Topology parse(std::string_view text) {
+  Topology topo;
+  CostModel cost;
+  ReliabilityPolicy policy;
+  int line = 0;
+  while (!text.empty()) {
+    const std::size_t newline = text.find('\n');
+    std::string_view raw = text.substr(0, newline);
+    text.remove_prefix(newline == std::string_view::npos ? text.size() : newline + 1);
+    ++line;
+    raw = raw.substr(0, raw.find('#'));
+    Fields fields{raw, line};
+    const std::string_view kind = fields.word();
+    if (kind.empty()) continue;  // blank line
+    if (kind == "topology") {
+      topo.set_name(read_token(fields));
+    } else if (kind == "unit") {
+      topo.set_capacity_unit_gbps(read_double(fields));
+    } else if (kind == "costmodel") {
+      cost.ip_cost_per_gbps_km = read_double(fields);
+      cost.fiber_cost_per_ghz_fraction = read_double(fields);
+      topo.set_cost_model(cost);
+    } else if (kind == "policy") {
+      policy.protected_under_failure = static_cast<CoS>(read_int(fields));
+      topo.set_reliability_policy(policy);
+    } else if (kind == "site") {
+      Site s;
+      s.name = read_token(fields);
+      s.x = read_double(fields);
+      s.y = read_double(fields);
+      s.region = read_int(fields);
+      topo.add_site(std::move(s));
+    } else if (kind == "fiber") {
+      Fiber f;
+      f.name = read_token(fields);
+      f.site_a = read_int(fields);
+      f.site_b = read_int(fields);
+      f.length_km = read_double(fields);
+      f.spectrum_ghz = read_double(fields);
+      f.build_cost = read_double(fields);
+      f.existing = read_int(fields) != 0;
+      topo.add_fiber(std::move(f));
+    } else if (kind == "link") {
+      IpLink l;
+      l.name = read_token(fields);
+      l.site_a = read_int(fields);
+      l.site_b = read_int(fields);
+      l.spectrum_per_unit_ghz = read_double(fields);
+      l.initial_units = read_int(fields);
+      const int k = read_int(fields);
+      for (int i = 0; i < k; ++i) l.fiber_path.push_back(read_int(fields));
+      topo.add_ip_link(std::move(l));
+    } else if (kind == "flow") {
+      Flow fl;
+      fl.src = read_int(fields);
+      fl.dst = read_int(fields);
+      fl.demand_gbps = read_double(fields);
+      fl.cos = static_cast<CoS>(read_int(fields));
+      topo.add_flow(fl);
+    } else if (kind == "failure") {
+      Failure fa;
+      fa.name = read_token(fields);
+      const int k = read_int(fields);
+      for (int i = 0; i < k; ++i) fa.fibers.push_back(read_int(fields));
+      const int m = read_int(fields);
+      for (int i = 0; i < m; ++i) fa.sites.push_back(read_int(fields));
+      topo.add_failure(std::move(fa));
+    } else {
+      parse_error(line, "unknown record '" + std::string(kind) + "'");
+    }
+  }
+  return topo;
 }
 
 }  // namespace
@@ -101,76 +266,9 @@ void save(const Topology& topo, std::ostream& out) {
 }
 
 Topology load(std::istream& in) {
-  Topology topo;
-  CostModel cost;
-  ReliabilityPolicy policy;
-  std::string raw;
-  int line = 0;
-  while (std::getline(in, raw)) {
-    ++line;
-    const auto hash = raw.find('#');
-    if (hash != std::string::npos) raw.resize(hash);
-    std::istringstream is(raw);
-    std::string kind;
-    if (!(is >> kind)) continue;  // blank line
-    if (kind == "topology") {
-      topo.set_name(read_token(is, line));
-    } else if (kind == "unit") {
-      topo.set_capacity_unit_gbps(read_double(is, line));
-    } else if (kind == "costmodel") {
-      cost.ip_cost_per_gbps_km = read_double(is, line);
-      cost.fiber_cost_per_ghz_fraction = read_double(is, line);
-      topo.set_cost_model(cost);
-    } else if (kind == "policy") {
-      policy.protected_under_failure = static_cast<CoS>(read_int(is, line));
-      topo.set_reliability_policy(policy);
-    } else if (kind == "site") {
-      Site s;
-      s.name = read_token(is, line);
-      s.x = read_double(is, line);
-      s.y = read_double(is, line);
-      s.region = read_int(is, line);
-      topo.add_site(std::move(s));
-    } else if (kind == "fiber") {
-      Fiber f;
-      f.name = read_token(is, line);
-      f.site_a = read_int(is, line);
-      f.site_b = read_int(is, line);
-      f.length_km = read_double(is, line);
-      f.spectrum_ghz = read_double(is, line);
-      f.build_cost = read_double(is, line);
-      f.existing = read_int(is, line) != 0;
-      topo.add_fiber(std::move(f));
-    } else if (kind == "link") {
-      IpLink l;
-      l.name = read_token(is, line);
-      l.site_a = read_int(is, line);
-      l.site_b = read_int(is, line);
-      l.spectrum_per_unit_ghz = read_double(is, line);
-      l.initial_units = read_int(is, line);
-      const int k = read_int(is, line);
-      for (int i = 0; i < k; ++i) l.fiber_path.push_back(read_int(is, line));
-      topo.add_ip_link(std::move(l));
-    } else if (kind == "flow") {
-      Flow fl;
-      fl.src = read_int(is, line);
-      fl.dst = read_int(is, line);
-      fl.demand_gbps = read_double(is, line);
-      fl.cos = static_cast<CoS>(read_int(is, line));
-      topo.add_flow(fl);
-    } else if (kind == "failure") {
-      Failure fa;
-      fa.name = read_token(is, line);
-      const int k = read_int(is, line);
-      for (int i = 0; i < k; ++i) fa.fibers.push_back(read_int(is, line));
-      const int m = read_int(is, line);
-      for (int i = 0; i < m; ++i) fa.sites.push_back(read_int(is, line));
-      topo.add_failure(std::move(fa));
-    } else {
-      parse_error(line, "unknown record '" + kind + "'");
-    }
-  }
-  return topo;
+  const std::string text{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  return parse(text);
 }
 
 std::string to_text(const Topology& topo) {
@@ -203,10 +301,7 @@ std::string to_text(const Topology& topo) {
   return text;
 }
 
-Topology from_text(const std::string& text) {
-  std::istringstream is(text);
-  return load(is);
-}
+Topology from_text(const std::string& text) { return parse(text); }
 
 void save_file(const Topology& topo, const std::string& path) {
   std::ofstream out(path);

@@ -206,74 +206,6 @@ TEST(Tape, FlattenGradient) {
   });
 }
 
-TEST(Tape, SliceRowsValueAndGradient) {
-  Rng rng(31);
-  Parameter p("x", random_matrix(6, 3, rng));
-  {
-    Tape tape;
-    Tensor sliced = tape.slice_rows(tape.parameter(p), 2, 3);
-    EXPECT_EQ(tape.value(sliced).rows(), 3u);
-    for (std::size_t r = 0; r < 3; ++r) {
-      for (std::size_t c = 0; c < 3; ++c) {
-        EXPECT_DOUBLE_EQ(tape.value(sliced)(r, c), p.value(r + 2, c));
-      }
-    }
-  }
-  check_param_gradient(p, [&](Tape& t) {
-    return t.sum(t.square(t.slice_rows(t.parameter(p), 1, 4)));
-  });
-  // Rows outside the slice receive zero gradient.
-  for (std::size_t c = 0; c < 3; ++c) {
-    EXPECT_DOUBLE_EQ(p.grad(0, c), 0.0);
-    EXPECT_DOUBLE_EQ(p.grad(5, c), 0.0);
-  }
-}
-
-TEST(Tape, SliceRowsValidates) {
-  Tape tape;
-  Parameter p("x", Matrix(4, 2, 1.0));
-  Tensor t = tape.parameter(p);
-  EXPECT_THROW(tape.slice_rows(t, 0, 0), std::invalid_argument);
-  EXPECT_THROW(tape.slice_rows(t, 3, 2), std::out_of_range);
-}
-
-TEST(Tape, MeanRowsSegmentsMatchesMeanRowsBitwise) {
-  // Each segment of the batched pooling must equal mean_rows over that
-  // block alone, bit-for-bit — this is what keeps batched critic
-  // forwards identical to per-step ones.
-  Rng rng(32);
-  const Matrix x = random_matrix(12, 5, rng);
-  Tape tape;
-  Tensor pooled = tape.mean_rows_segments(tape.constant(x), 4);
-  ASSERT_EQ(tape.value(pooled).rows(), 3u);
-  for (std::size_t s = 0; s < 3; ++s) {
-    Matrix block(4, 5);
-    for (std::size_t r = 0; r < 4; ++r) {
-      for (std::size_t c = 0; c < 5; ++c) block(r, c) = x(s * 4 + r, c);
-    }
-    Tape ref;
-    Tensor mean = ref.mean_rows(ref.constant(block));
-    for (std::size_t c = 0; c < 5; ++c) {
-      EXPECT_EQ(tape.value(pooled)(s, c), ref.value(mean)(0, c));  // bitwise
-    }
-  }
-}
-
-TEST(Tape, MeanRowsSegmentsGradient) {
-  Rng rng(33);
-  Parameter p("x", random_matrix(6, 2, rng));
-  check_param_gradient(p, [&](Tape& t) {
-    return t.sum(t.square(t.mean_rows_segments(t.parameter(p), 3)));
-  });
-}
-
-TEST(Tape, MeanRowsSegmentsValidates) {
-  Tape tape;
-  Tensor t = tape.constant(Matrix(6, 2, 1.0));
-  EXPECT_THROW(tape.mean_rows_segments(t, 0), std::invalid_argument);
-  EXPECT_THROW(tape.mean_rows_segments(t, 4), std::invalid_argument);
-}
-
 TEST(Tape, PickGradient) {
   Parameter p("x", Matrix{{1, 2}, {3, 4}});
   Tape tape;

@@ -232,8 +232,6 @@ TEST(CheckMacros, EnvMaskAndCsrPostconditionsHoldOnHealthyPaths) {
   rl::PlanningEnv env(t, config);
   EXPECT_NO_THROW((void)env.action_mask());
   EXPECT_NO_THROW((void)la::CsrMatrix::from_dense(la::Matrix::identity(4)));
-  EXPECT_NO_THROW((void)la::block_diagonal(
-      la::CsrMatrix::from_dense(la::Matrix::identity(3)), 4));
 }
 
 }  // namespace

@@ -219,76 +219,6 @@ TEST(Matrix, MatmulTiledMatchesNaiveReference) {
   }
 }
 
-TEST(Matrix, VstackConcatenatesRows) {
-  Matrix a{{1, 2}, {3, 4}};
-  Matrix b{{5, 6}};
-  Matrix c{{7, 8}, {9, 10}};
-  Matrix stacked = vstack({&a, &b, &c});
-  EXPECT_EQ(stacked, (Matrix{{1, 2}, {3, 4}, {5, 6}, {7, 8}, {9, 10}}));
-}
-
-TEST(Matrix, VstackValidatesInput) {
-  Matrix a{{1, 2}};
-  Matrix bad{{1, 2, 3}};
-  EXPECT_THROW(vstack({}), std::invalid_argument);
-  EXPECT_THROW(vstack({&a, nullptr}), std::invalid_argument);
-  EXPECT_THROW(vstack({&a, &bad}), std::invalid_argument);
-}
-
-TEST(Csr, BlockDiagonalReplicatesBlocks) {
-  CsrMatrix a(2, 3, {{0, 0, 1.0}, {0, 2, 2.0}, {1, 1, 3.0}});
-  CsrMatrix blocks = block_diagonal(a, 3);
-  EXPECT_EQ(blocks.rows(), 6u);
-  EXPECT_EQ(blocks.cols(), 9u);
-  EXPECT_EQ(blocks.nnz(), 9u);
-  const Matrix dense_a = a.to_dense();
-  const Matrix dense = blocks.to_dense();
-  for (int copy = 0; copy < 3; ++copy) {
-    for (std::size_t r = 0; r < 2; ++r) {
-      for (std::size_t c = 0; c < 9; ++c) {
-        const bool in_block = c >= copy * 3u && c < (copy + 1) * 3u;
-        EXPECT_DOUBLE_EQ(dense(copy * 2 + r, c),
-                         in_block ? dense_a(r, c - copy * 3u) : 0.0);
-      }
-    }
-  }
-  EXPECT_THROW(block_diagonal(a, 0), std::invalid_argument);
-}
-
-TEST(Csr, BlockDiagonalMultiplyBitIdenticalPerBlock) {
-  // The property batched GNN forwards rely on: multiplying the stacked
-  // features by the block-diagonal adjacency equals the per-block
-  // multiplies exactly (not just approximately).
-  Rng rng(5);
-  Matrix dense(7, 7, 0.0);
-  for (int i = 0; i < 18; ++i) {
-    dense(rng.uniform_index(7), rng.uniform_index(7)) = rng.normal();
-  }
-  CsrMatrix a = CsrMatrix::from_dense(dense);
-  Matrix x1(7, 3), x2(7, 3);
-  for (double& v : x1.flat()) v = rng.normal();
-  for (double& v : x2.flat()) v = rng.normal();
-  CsrMatrix blocks = block_diagonal(a, 2);
-  Matrix stacked = vstack({&x1, &x2});
-  Matrix batched = blocks.multiply(stacked);
-  Matrix y1 = a.multiply(x1), y2 = a.multiply(x2);
-  Matrix expected = vstack({&y1, &y2});
-  EXPECT_EQ(batched, expected);  // bitwise
-}
-
-TEST(Csr, BlockDiagonalCacheReusesAndValidates) {
-  auto base = std::make_shared<const CsrMatrix>(
-      CsrMatrix(2, 2, {{0, 1, 1.0}, {1, 0, 2.0}}));
-  BlockDiagonalCache cache(base);
-  EXPECT_EQ(cache.get(1).get(), base.get());  // copies==1 is the base itself
-  const auto four_a = cache.get(4);
-  const auto four_b = cache.get(4);
-  EXPECT_EQ(four_a.get(), four_b.get());  // memoized, stable address
-  EXPECT_EQ(four_a->rows(), 8u);
-  EXPECT_THROW(cache.get(0), std::invalid_argument);
-  EXPECT_THROW(BlockDiagonalCache(nullptr), std::invalid_argument);
-}
-
 // ---- register tiles: AVX2 vs portable vs plain loops ----
 
 namespace kd = kernels::detail;

@@ -270,106 +270,5 @@ TEST(ActorCritic, GradientsReachAllGroupsThroughPolicyLoss) {
   }
 }
 
-// ---- batched forward (shared encoder pass over stacked states) ----
-
-// The batched path must be bit-identical to the per-step path: the
-// chunked update recomputation in rl::Trainer relies on it.
-void expect_forward_batch_bit_equal(GnnType gnn) {
-  Rng rng(31);
-  NetworkConfig config = small_config();
-  config.gnn_type = gnn;
-  ActorCritic net(config, rng);
-  const int n = 5;
-  const int m = config.max_units_per_step;
-  const std::size_t steps = 3;
-
-  Rng data_rng(57);
-  std::vector<Matrix> features;
-  std::vector<std::vector<std::uint8_t>> masks;
-  for (std::size_t s = 0; s < steps; ++s) {
-    Matrix f(n, 4, 0.0);
-    for (std::size_t i = 0; i < f.rows(); ++i) {
-      for (std::size_t j = 0; j < f.cols(); ++j) f(i, j) = data_rng.uniform(-1.0, 1.0);
-    }
-    features.push_back(f);
-    std::vector<std::uint8_t> mask(n * m, 0);
-    for (auto& b : mask) b = data_rng.uniform() < 0.6 ? 1 : 0;
-    mask[data_rng.uniform_index(mask.size())] = 1;  // keep >= 1 valid action
-    masks.push_back(mask);
-  }
-
-  auto adjacency = ring_adjacency(n);
-  auto block = std::make_shared<const la::CsrMatrix>(
-      la::block_diagonal(*adjacency, static_cast<int>(steps)));
-  std::vector<const Matrix*> parts;
-  std::vector<const std::vector<std::uint8_t>*> mask_parts;
-  for (std::size_t s = 0; s < steps; ++s) {
-    parts.push_back(&features[s]);
-    mask_parts.push_back(&masks[s]);
-  }
-  const Matrix stacked = la::vstack(parts);
-
-  ad::Tape batch_tape;
-  ActorCritic::BatchedForward out =
-      net.forward_batch(batch_tape, block, stacked, mask_parts, true);
-  ASSERT_EQ(out.log_probs.size(), steps);
-  ASSERT_EQ(out.values.size(), steps);
-
-  for (std::size_t s = 0; s < steps; ++s) {
-    ad::Tape tape;
-    const Matrix& got_lp = batch_tape.value(out.log_probs[s]);
-    const Matrix& want_lp =
-        tape.value(net.policy_log_probs(tape, adjacency, features[s], masks[s]));
-    ASSERT_EQ(got_lp.cols(), want_lp.cols());
-    for (std::size_t j = 0; j < want_lp.cols(); ++j) {
-      EXPECT_EQ(got_lp(0, j), want_lp(0, j));  // bitwise
-    }
-    const Matrix& got_v = batch_tape.value(out.values[s]);
-    const Matrix& want_v = tape.value(net.value(tape, adjacency, features[s]));
-    EXPECT_EQ(got_v(0, 0), want_v(0, 0));
-  }
-
-  // Critic-only batched forward: row s == value() on state s, bitwise.
-  ad::Tape value_tape;
-  ad::Tensor values = net.value_batch(value_tape, block, stacked, steps);
-  ASSERT_EQ(value_tape.value(values).rows(), steps);
-  for (std::size_t s = 0; s < steps; ++s) {
-    ad::Tape tape;
-    const Matrix& want_v = tape.value(net.value(tape, adjacency, features[s]));
-    EXPECT_EQ(value_tape.value(values)(s, 0), want_v(0, 0));
-  }
-}
-
-TEST(ActorCritic, BatchedForwardBitEqualsPerStepGcn) {
-  expect_forward_batch_bit_equal(GnnType::kGcn);
-}
-
-TEST(ActorCritic, BatchedForwardBitEqualsPerStepGat) {
-  expect_forward_batch_bit_equal(GnnType::kGat);
-}
-
-TEST(ActorCritic, ForwardBatchValidatesShapes) {
-  Rng rng(33);
-  ActorCritic net(small_config(), rng);
-  const int n = 4;
-  auto adjacency = ring_adjacency(n);
-  auto block = std::make_shared<const la::CsrMatrix>(la::block_diagonal(*adjacency, 2));
-  std::vector<std::uint8_t> mask(static_cast<std::size_t>(n) * 3, 1);
-  std::vector<const std::vector<std::uint8_t>*> masks = {&mask, &mask};
-  ad::Tape tape;
-  // Stacked rows not divisible by the number of steps.
-  EXPECT_THROW(net.forward_batch(tape, block, Matrix(7, 4, 0.0), masks, false),
-               std::invalid_argument);
-  // No masks at all.
-  std::vector<const std::vector<std::uint8_t>*> empty;
-  EXPECT_THROW(net.forward_batch(tape, block, Matrix(8, 4, 0.0), empty, false),
-               std::invalid_argument);
-  // Wrong-size mask.
-  std::vector<std::uint8_t> bad(3, 1);
-  std::vector<const std::vector<std::uint8_t>*> bad_masks = {&mask, &bad};
-  EXPECT_THROW(net.forward_batch(tape, block, Matrix(8, 4, 0.0), bad_masks, false),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace np::nn

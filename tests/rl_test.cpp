@@ -3,9 +3,14 @@
 // on random behavior.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 
+#include "core/neuroplan.hpp"
+#include "obs/metrics.hpp"
 #include "rl/env.hpp"
 #include "rl/gae.hpp"
 #include "rl/history.hpp"
@@ -422,28 +427,94 @@ TEST(Trainer, RejectsBadRolloutWorkers) {
   EXPECT_THROW(A2cTrainer(t, c), std::invalid_argument);
 }
 
-TEST(Trainer, BatchedUpdatesStayCloseToPerStep) {
-  // The batched recomputation reorders float accumulation in the
-  // backward pass, so parameters drift by ulps, not semantics: after
-  // one epoch from identical init, rollout stats are identical and the
-  // resulting weights agree to tight tolerance.
-  topo::Topology t = small_topology();
-  TrainConfig per_step = smoke_config();
-  per_step.epochs = 1;
-  TrainConfig batched = per_step;
-  batched.batched_updates = true;
-  A2cTrainer a(t, per_step), b(t, batched);
-  const EpochStats sa = a.run_epoch();
-  const EpochStats sb = b.run_epoch();
-  // Epoch-1 rollouts run before any update: identical by construction.
-  EXPECT_EQ(sa.trajectories, sb.trajectories);
-  EXPECT_DOUBLE_EQ(sa.mean_return, sb.mean_return);
-  auto pa = a.network().all_parameters();
-  auto pb = b.network().all_parameters();
+// ---- chunk_steps bounds tape memory and never shapes results ----
+
+/// The bit pattern of a double: unlike ==, it tells -0.0 from +0.0.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+bool same_bits(const la::Matrix& a, const la::Matrix& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Every epoch statistic but the timings, every parameter value and
+/// both Adam moments, bit for bit.
+void expect_same_training(A2cTrainer& a, const std::vector<EpochStats>& ha,
+                          A2cTrainer& b, const std::vector<EpochStats>& hb) {
+  ASSERT_EQ(ha.size(), hb.size());
+  for (std::size_t i = 0; i < ha.size(); ++i) {
+    EXPECT_EQ(ha[i].epoch, hb[i].epoch);
+    EXPECT_EQ(ha[i].steps, hb[i].steps);
+    EXPECT_EQ(ha[i].trajectories, hb[i].trajectories);
+    EXPECT_EQ(ha[i].feasible_trajectories, hb[i].feasible_trajectories);
+    EXPECT_EQ(bits(ha[i].mean_return), bits(hb[i].mean_return));
+    EXPECT_EQ(bits(ha[i].best_cost_in_epoch), bits(hb[i].best_cost_in_epoch));
+    EXPECT_EQ(bits(ha[i].best_cost_so_far), bits(hb[i].best_cost_so_far));
+  }
+  EXPECT_EQ(a.best_added_units(), b.best_added_units());
+  const auto pa = a.network().all_parameters();
+  const auto pb = b.network().all_parameters();
   ASSERT_EQ(pa.size(), pb.size());
   for (std::size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_LT(la::max_abs_diff(pa[i]->value, pb[i]->value), 1e-8);
+    EXPECT_TRUE(same_bits(pa[i]->value, pb[i]->value)) << pa[i]->name;
+    EXPECT_TRUE(same_bits(pa[i]->adam_m, pb[i]->adam_m)) << pa[i]->name;
+    EXPECT_TRUE(same_bits(pa[i]->adam_v, pb[i]->adam_v)) << pa[i]->name;
   }
+}
+
+TEST(Trainer, ChunkSizeDoesNotChangeResults) {
+  // Each step's parameter-leaf gradients reach Parameter::grad in step
+  // order whatever the chunk size, so one step per tape, a ragged 7 and
+  // one whole-buffer tape train identically, on either encoder.
+  topo::Topology t = small_topology();
+  for (nn::GnnType gnn : {nn::GnnType::kGcn, nn::GnnType::kGat}) {
+    SCOPED_TRACE(gnn == nn::GnnType::kGcn ? "gcn" : "gat");
+    TrainConfig c = smoke_config();
+    c.network.gnn_type = gnn;
+    c.epochs = 2;
+    c.steps_per_epoch = 96;
+    c.ppo_clip = 0.2;
+    c.entropy_coefficient = 0.01;
+    c.update_iterations = 3;
+    c.chunk_steps = 1;
+    A2cTrainer one_step(t, c);
+    const std::vector<EpochStats> reference = one_step.train();
+    for (int chunk : {7, 96}) {
+      SCOPED_TRACE("chunk_steps " + std::to_string(chunk));
+      TrainConfig chunked = c;
+      chunked.chunk_steps = chunk;
+      A2cTrainer trainer(t, chunked);
+      const std::vector<EpochStats> history = trainer.train();
+      expect_same_training(one_step, reference, trainer, history);
+    }
+  }
+}
+
+TEST(Trainer, FullyClippedChunkWithoutEntropyBonusTrains) {
+  // With PPO clipping and no entropy bonus, a step whose ratio left the
+  // clip range adds no loss term, so a one-step chunk of it has a
+  // constant loss. Training skips its backward and must equal a run
+  // whose 96-step chunks always hold a term.
+  const topo::Topology t = topo::make_preset('A', 7);
+  TrainConfig c = core::default_train_config(t, 3);
+  c.entropy_coefficient = 0.0;
+  c.steps_per_epoch = 128;
+  c.epochs = 2;
+  c.chunk_steps = 1;
+  obs::Counter& backwards = obs::counter("ad.backwards");
+  const long before = backwards.value();
+  A2cTrainer one_step(t, c);
+  std::vector<EpochStats> reference;
+  ASSERT_NO_THROW(reference = one_step.train());
+  // Some one-step chunk had no term: fewer backwards than policy plus
+  // critic steps.
+  EXPECT_LT(backwards.value() - before,
+            2L * c.steps_per_epoch * c.update_iterations * c.epochs);
+  TrainConfig chunked = c;
+  chunked.chunk_steps = 96;
+  A2cTrainer trainer(t, chunked);
+  const std::vector<EpochStats> history = trainer.train();
+  expect_same_training(one_step, reference, trainer, history);
 }
 
 TEST(Env, ParallelEvaluatorThreadsMatchSequential) {

@@ -188,6 +188,17 @@ void expect_adjoints_match_reference(nn::GnnType type, bool policy) {
   tape.backward(loss);
   const std::vector<Matrix> got = take_grads(net);
 
+  // The trainer's pattern: one cleared tape and one backward() per
+  // step, each adding into Parameter::grad.
+  ad::Tape step_tape;
+  for (const Step& s : steps) {
+    step_tape.clear();
+    const std::vector<Step> one = {s};
+    step_tape.backward(policy ? tape_policy_loss(step_tape, net, adjacency, one)
+                              : tape_value_loss(step_tape, net, adjacency, one));
+  }
+  const std::vector<Matrix> got_per_step = take_grads(net);
+
   RefTape ref;
   const RefTape::Id ref_loss = policy ? ref_policy_loss(ref, net, *adjacency, steps)
                                       : ref_value_loss(ref, net, *adjacency, steps);
@@ -199,6 +210,7 @@ void expect_adjoints_match_reference(nn::GnnType type, bool policy) {
   std::size_t touched = 0;
   for (std::size_t i = 0; i < params.size(); ++i) {
     EXPECT_TRUE(same_bits(got[i], want[i])) << params[i]->name;
+    EXPECT_TRUE(same_bits(got_per_step[i], want[i])) << params[i]->name << " per step";
     if (want[i].max_abs() > 0.0) ++touched;
   }
   // The loss must reach the shared encoder and its own head.

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <set>
+#include <sstream>
 
 #include "temp_path.hpp"
 #include "topo/generator.hpp"
@@ -529,6 +533,74 @@ TEST(Serialize, UnknownRecordThrowsWithLineNumber) {
 
 TEST(Serialize, TruncatedRecordThrows) {
   EXPECT_THROW(from_text("site \"A\" 1.0\n"), std::runtime_error);
+}
+
+/// `text` with every field separator outside quotes replaced by `sep`
+/// and every line ending by `eol`.
+std::string reformat(const std::string& text, const std::string& sep,
+                     const std::string& eol) {
+  std::string out;
+  bool in_quotes = false;
+  for (char c : text) {
+    if (c == '"') in_quotes = !in_quotes;
+    if (c == ' ' && !in_quotes) {
+      out += sep;
+    } else if (c == '\n') {
+      out += eol;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+TEST(Serialize, CrlfAndTabSeparatedRecordsParse) {
+  const std::string text = to_text(make_preset('A'));
+  EXPECT_EQ(to_text(from_text(reformat(text, " ", "\r\n"))), text);
+  EXPECT_EQ(to_text(from_text(reformat(text, "\t", "\n"))), text);
+  const std::string spaced = reformat(text, " \t\v\f ", "\r\n");
+  EXPECT_EQ(to_text(from_text(spaced)), text);
+  std::istringstream in(spaced);
+  EXPECT_EQ(to_text(load(in)), text);
+}
+
+TEST(Serialize, NumbersReadAsStrtodReadsThem) {
+  // Full precision, exponents, a leading '+', signed zero, subnormals
+  // and underflow to zero: every value carries strtod's bits.
+  for (const char* number :
+       {"0.1", "3.141592653589793", "0.30000000000000004", "1e+06", "1E-3", "+2.5",
+        "-0", "5.", ".5", "-.5e2", "123456789012345678901234567890",
+        "2.2250738585072014e-308", "1.7976931348623157e308",
+        "4.9406564584124654e-324", "2e-320", "1e-400", "-1e-400"}) {
+    const Topology t = from_text(std::string("site \"s\" ") + number + " 0 0\n");
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(t.site(0).x),
+              std::bit_cast<std::uint64_t>(std::strtod(number, nullptr)))
+        << number;
+  }
+}
+
+TEST(Serialize, MalformedNumbersAreParseErrors) {
+  for (const char* number : {"inf", "-inf", "nan", "1e400", "-1e999", "1e", "1e+", ".",
+                             "+", "-", "+-1", "x"}) {
+    EXPECT_THROW(from_text(std::string("site \"s\" ") + number + " 0 0\n"),
+                 std::runtime_error)
+        << number;
+  }
+  // int's range: one past either end is a parse error, the ends parse.
+  for (const char* region : {"2147483648", "-2147483649", "99999999999", "+-1"}) {
+    EXPECT_THROW(from_text(std::string("site \"s\" 0 0 ") + region + "\n"),
+                 std::runtime_error)
+        << region;
+  }
+  EXPECT_EQ(from_text("site \"s\" 0 0 2147483647\n").site(0).region, 2147483647);
+  EXPECT_EQ(from_text("site \"s\" 0 0 -2147483648\n").site(0).region, -2147483647 - 1);
+  EXPECT_EQ(from_text("site \"s\" 0 0 +7\n").site(0).region, 7);
+  try {
+    from_text("topology \"x\"\nunit 10\npolicy 4294967296\n");
+    FAIL() << "expected parse error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Serialize, FileRoundTrip) {

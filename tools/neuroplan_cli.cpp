@@ -6,7 +6,7 @@
 //   neuroplan_cli plan <topo> <planner> [out.plan]     run a planner:
 //       neuroplan | ilp | ilp-heur | greedy | decomposition
 //   neuroplan_cli train <topo> <agent.ckpt> [epochs]
-//       [--rollout-workers N] [--batched-updates]      train + checkpoint an agent
+//       [--rollout-workers N]                          train + checkpoint an agent
 //       [--checkpoint-every N] [--resume <state>]      crash-safe full-state
 //                                                      snapshots -> <agent>.state
 //   neuroplan_cli report <topo> <plan-file>            operator report for a plan
@@ -70,7 +70,7 @@ int usage() {
                "  neuroplan_cli plan <topo> <neuroplan|ilp|ilp-heur|greedy|"
                "decomposition> [out.plan]\n"
                "  neuroplan_cli train <topo> <agent.ckpt> [epochs]"
-               " [--rollout-workers N] [--batched-updates]\n"
+               " [--rollout-workers N]\n"
                "                [--checkpoint-every N] [--resume <state-file>]\n"
                "  neuroplan_cli report <topo> <plan-file>\n"
                "global flags: [--metrics-out <file.jsonl>]"
@@ -263,8 +263,6 @@ int cmd_train(int argc, char** argv) {
       if (i + 1 >= argc) return usage();
       config.rollout_workers =
           static_cast<int>(parse_long_arg("--rollout-workers", argv[++i], 1, 4096));
-    } else if (arg == "--batched-updates") {
-      config.batched_updates = true;
     } else if (arg == "--checkpoint-every") {
       if (i + 1 >= argc) return usage();
       config.checkpoint_every = static_cast<int>(
