@@ -303,18 +303,14 @@ Tensor Tape::masked_log_softmax(Tensor row, const std::vector<std::uint8_t>& mas
   }
   const double log_z = max_valid + std::log(sum_exp);
   double* out = alloc(k);
-  // Probabilities for the adjoint: dx_j = dy_j - p_j * sum(dy).
-  double* probs = alloc(k);
   std::uint8_t* kept_mask = arena_.alloc_bytes(k);
   for (std::size_t i = 0; i < k; ++i) {
     out[i] = mask[i] ? x.value[i] - log_z : kMaskedLogProb;
-    probs[i] = mask[i] ? std::exp(out[i]) : 0.0;
     kept_mask[i] = mask[i];
   }
   Node n = make_node(Op::kMaskedLogSoftmax, 1, k, out, x.needs_grad);
   n.in[0] = row.index;
   n.extra = kept_mask;
-  n.saved = probs;
   return emit(n);
 }
 
@@ -335,13 +331,10 @@ Tensor Tape::entropy_from_log_probs(Tensor log_probs) {
   return emit(n);
 }
 
-Tensor Tape::gat_aggregate(
-    Tensor scores_src, Tensor scores_dst, Tensor features,
-    std::shared_ptr<const std::vector<std::vector<int>>> neighbors,
-    double leaky_slope) {
-  if (neighbors == nullptr) {
-    throw std::invalid_argument("gat_aggregate: null neighbor lists");
-  }
+Tensor Tape::gat_aggregate(Tensor scores_src, Tensor scores_dst, Tensor features,
+                           std::shared_ptr<const la::CsrMatrix> adjacency,
+                           double leaky_slope) {
+  if (adjacency == nullptr) throw std::invalid_argument("gat_aggregate: null adjacency");
   const Node& src = node(scores_src);
   const Node& dst = node(scores_dst);
   const Node& z = node(features);
@@ -349,50 +342,44 @@ Tensor Tape::gat_aggregate(
   if (src.rows != n || src.cols != 1 || dst.rows != n || dst.cols != 1) {
     throw std::invalid_argument("gat_aggregate: scores must be n x 1");
   }
-  if (neighbors->size() != n) {
-    throw std::invalid_argument("gat_aggregate: neighbor list size mismatch");
+  if (adjacency->rows() != n || adjacency->cols() != n) {
+    throw std::invalid_argument("gat_aggregate: adjacency is " +
+                                shape(adjacency->rows(), adjacency->cols()) +
+                                ", need " + shape(n, n));
   }
-  std::size_t edges = 0;
-  for (const auto& list : *neighbors) {
-    for (int j : list) {
-      if (j < 0 || static_cast<std::size_t>(j) >= n) {
-        throw std::invalid_argument("gat_aggregate: neighbor index out of range");
-      }
-    }
-    if (list.empty()) {
+  const std::size_t* offsets = adjacency->row_offsets().data();
+  const std::size_t* neighbors = adjacency->col_indices().data();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (offsets[i] == offsets[i + 1]) {
       throw std::invalid_argument("gat_aggregate: node without neighbors "
                                   "(self loops are required)");
     }
-    edges += list.size();
   }
 
   // Forward: per-node masked softmax over LeakyReLU(src_i + dst_j).
-  // Attention weights (node-major, neighbor order) are kept for the
-  // adjoint.
-  double* alphas = alloc(edges);
+  // Attention weights (one per stored entry) are kept for the adjoint.
+  double* alpha = alloc(adjacency->nnz());
   double* out = alloc(n * z.cols);
   std::fill(out, out + n * z.cols, 0.0);
-  double* alpha = alphas;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& list = (*neighbors)[i];
+    const std::size_t begin = offsets[i], end = offsets[i + 1];
     double max_e = -1e300;
-    for (std::size_t k = 0; k < list.size(); ++k) {
-      const double pre = src.value[i] + dst.value[list[k]];
-      alpha[k] = pre > 0.0 ? pre : leaky_slope * pre;
-      max_e = std::max(max_e, alpha[k]);
+    for (std::size_t e = begin; e < end; ++e) {
+      const double pre = src.value[i] + dst.value[neighbors[e]];
+      alpha[e] = pre > 0.0 ? pre : leaky_slope * pre;
+      max_e = std::max(max_e, alpha[e]);
     }
     double total = 0.0;
-    for (std::size_t k = 0; k < list.size(); ++k) {
-      alpha[k] = std::exp(alpha[k] - max_e);
-      total += alpha[k];
+    for (std::size_t e = begin; e < end; ++e) {
+      alpha[e] = std::exp(alpha[e] - max_e);
+      total += alpha[e];
     }
     double* orow = out + i * z.cols;
-    for (std::size_t k = 0; k < list.size(); ++k) {
-      alpha[k] /= total;
-      const double* zrow = z.value + static_cast<std::size_t>(list[k]) * z.cols;
-      for (std::size_t c = 0; c < z.cols; ++c) orow[c] += alpha[k] * zrow[c];
+    for (std::size_t e = begin; e < end; ++e) {
+      alpha[e] /= total;
+      const double* zrow = z.value + neighbors[e] * z.cols;
+      for (std::size_t c = 0; c < z.cols; ++c) orow[c] += alpha[e] * zrow[c];
     }
-    alpha += list.size();
   }
 
   Node node_out = make_node(Op::kGatAggregate, n, z.cols, out,
@@ -401,9 +388,9 @@ Tensor Tape::gat_aggregate(
   node_out.in[1] = scores_dst.index;
   node_out.in[2] = features.index;
   node_out.scalar = leaky_slope;
-  node_out.extra = neighbors.get();
-  node_out.saved = alphas;
-  hold(neighbors);
+  node_out.extra = adjacency.get();
+  node_out.saved = alpha;
+  hold(adjacency);
   return emit(node_out);
 }
 
@@ -530,6 +517,8 @@ void Tape::backward_node(const Node& self) {
       if (a.needs_grad) a.grad[self.aux] += g[0];
       return;
     case Op::kMaskedLogSoftmax: {
+      // dx_j = dy_j - p_j * sum(dy), with p_j = exp(y_j) formed here,
+      // not in the forward: acting forwards never need it.
       if (!a.needs_grad) return;
       const auto* mask = static_cast<const std::uint8_t*>(self.extra);
       double grad_sum = 0.0;
@@ -537,7 +526,7 @@ void Tape::backward_node(const Node& self) {
         if (mask[i]) grad_sum += g[i];
       }
       for (std::size_t i = 0; i < count; ++i) {
-        if (mask[i]) a.grad[i] += g[i] - self.saved[i] * grad_sum;
+        if (mask[i]) a.grad[i] += g[i] - std::exp(self.value[i]) * grad_sum;
       }
       return;
     }
@@ -554,38 +543,38 @@ void Tape::backward_node(const Node& self) {
       Node& src = a;
       Node& dst = nodes_[self.in[1]];
       Node& z = nodes_[self.in[2]];
-      const auto& neighbors =
-          *static_cast<const std::vector<std::vector<int>>*>(self.extra);
+      const auto& adjacency = *static_cast<const la::CsrMatrix*>(self.extra);
+      const std::size_t* offsets = adjacency.row_offsets().data();
+      const std::size_t* neighbors = adjacency.col_indices().data();
       const double slope = self.scalar;
       const double* alpha = self.saved;
-      double* dalpha = scratch_;  // max-degree doubles
+      double* dalpha = scratch_;  // one per stored entry
       for (std::size_t i = 0; i < self.rows; ++i) {
-        const auto& list = neighbors[i];
+        const std::size_t begin = offsets[i], end = offsets[i + 1];
         const double* grow = g + i * z.cols;
-        // d alpha_k = dOut_i . z_k ; softmax backward ; LeakyReLU.
+        // d alpha_e = dOut_i . z_j ; softmax backward ; LeakyReLU.
         double weighted = 0.0;
-        for (std::size_t k = 0; k < list.size(); ++k) {
-          const std::size_t j = static_cast<std::size_t>(list[k]);
+        for (std::size_t e = begin; e < end; ++e) {
+          const std::size_t j = neighbors[e];
           const double* zrow = z.value + j * z.cols;
           double dot = 0.0;
           for (std::size_t c = 0; c < z.cols; ++c) dot += grow[c] * zrow[c];
-          dalpha[k] = dot;
-          weighted += alpha[k] * dot;
+          dalpha[e] = dot;
+          weighted += alpha[e] * dot;
           if (z.needs_grad) {
             double* gzrow = z.grad + j * z.cols;
-            for (std::size_t c = 0; c < z.cols; ++c) gzrow[c] += alpha[k] * grow[c];
+            for (std::size_t c = 0; c < z.cols; ++c) gzrow[c] += alpha[e] * grow[c];
           }
         }
         if (src.needs_grad || dst.needs_grad) {
-          for (std::size_t k = 0; k < list.size(); ++k) {
-            const double de = alpha[k] * (dalpha[k] - weighted);
-            const double pre = src.value[i] + dst.value[list[k]];
+          for (std::size_t e = begin; e < end; ++e) {
+            const double de = alpha[e] * (dalpha[e] - weighted);
+            const double pre = src.value[i] + dst.value[neighbors[e]];
             const double dpre = de * (pre > 0.0 ? 1.0 : slope);
             if (src.needs_grad) src.grad[i] += dpre;
-            if (dst.needs_grad) dst.grad[list[k]] += dpre;
+            if (dst.needs_grad) dst.grad[neighbors[e]] += dpre;
           }
         }
-        alpha += list.size();
       }
       return;
     }
@@ -627,10 +616,7 @@ void Tape::backward(Tensor root) {
         scratch = std::max(scratch, n.cols);
         break;
       case Op::kGatAggregate:
-        for (const auto& list :
-             *static_cast<const std::vector<std::vector<int>>*>(n.extra)) {
-          scratch = std::max(scratch, list.size());
-        }
+        scratch = std::max(scratch, static_cast<const la::CsrMatrix*>(n.extra)->nnz());
         break;
       default:
         break;

@@ -10,6 +10,9 @@
 // Storage: node values, gradients and adjoint scratch live in one bump
 // arena (la::Arena) that clear() rewinds and keeps, so a tape reused
 // across passes of the same shape stops allocating after the first one.
+// Gradients and adjoint scratch are made only inside backward(), so a
+// forward that is never back-propagated (an acting forward,
+// ActorCritic::act) stores neither.
 // Parameters are leaves BY REFERENCE: the tape reads Parameter::value in
 // place until backward(), so the parameter must not change in between
 // (checks-on builds assert this through Parameter::version). Products
@@ -111,10 +114,12 @@ class Tape {
   /// Graph-attention aggregation (GAT, Velickovic et al.), using the
   /// standard decomposition e_ij = LeakyReLU(src_i + dst_j):
   ///   out_i = sum_{j in N(i)} softmax_j(e_ij) * features_j,
-  /// where N(i) is given by `neighbors` (must include the self loop).
-  /// scores_src and scores_dst are n x 1; features is n x h.
+  /// where N(i) is row i of the n x n adjacency's sparsity pattern in
+  /// stored column order (every row needs its self loop). scores_src
+  /// and scores_dst are n x 1; features is n x h. The tape holds the
+  /// adjacency until clear(), as spmm does.
   Tensor gat_aggregate(Tensor scores_src, Tensor scores_dst, Tensor features,
-                       std::shared_ptr<const std::vector<std::vector<int>>> neighbors,
+                       std::shared_ptr<const la::CsrMatrix> adjacency,
                        double leaky_slope = 0.2);
 
   // ---- access ----
@@ -175,8 +180,8 @@ class Tape {
     bool needs_grad = false;
     double scalar = 0.0;            ///< scale factor, 1/n, leaky slope
     std::size_t aux = 0;            ///< picked offset
-    const void* extra = nullptr;    ///< CSR lhs, neighbor lists, mask bytes
-    const double* saved = nullptr;  ///< softmax probs, attention weights
+    const void* extra = nullptr;    ///< CSR adjacency, mask bytes
+    const double* saved = nullptr;  ///< GAT attention weights
     std::size_t size() const { return rows * cols; }
   };
 
@@ -191,7 +196,7 @@ class Tape {
   Tensor emit(const Node& node);
   const Node& node(Tensor t) const { return nodes_[t.index]; }
   double* alloc(std::size_t count) { return arena_.alloc_doubles(count); }
-  /// Keep `owner` alive until clear() (adjacency, neighbor lists).
+  /// Keep `owner` alive until clear() (an adjacency).
   template <class T>
   void hold(const std::shared_ptr<T>& owner) {
     if (held_.empty() || held_.back().get() != owner.get()) held_.emplace_back(owner);

@@ -7,6 +7,7 @@
 #include "plan/formulation.hpp"
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
+#include "util/table.hpp"
 
 namespace np::core {
 
@@ -47,6 +48,7 @@ PlanResult second_stage(const topo::Topology& topology,
   if (first_stage_added.size() != static_cast<std::size_t>(topology.num_links())) {
     throw std::invalid_argument("second_stage: plan size mismatch");
   }
+  Stopwatch watch;
   // Encode the first-stage plan as maximum capacity constraints,
   // relaxed by alpha (§4.3), and solve with lazy scenario generation so
   // the MILP stays tractable on the large topologies.
@@ -70,6 +72,7 @@ PlanResult second_stage(const topo::Topology& topology,
   std::vector<int> best_seed = first_stage_added;
   double best_cost = first_stage_cost;
   std::vector<int> binding_failures;
+  double coarse_seconds = 0.0;
   {
     // The coarse pass is the workhorse: its rounds converge fast, so it
     // gets most of the budget and as many scenario-generation rounds as
@@ -88,6 +91,7 @@ PlanResult second_stage(const topo::Topology& topology,
       best_cost = coarse_result.plan.cost;
     }
     binding_failures = coarse_result.binding_failures;
+    coarse_seconds = coarse_result.plan.seconds;
   }
 
   // Exact pass at base units, seeded with the best plan so far and cut
@@ -103,7 +107,10 @@ PlanResult second_stage(const topo::Topology& topology,
   lazy.seed_added_units = best_seed;
   lazy.initial_scenario_set = binding_failures;
   LazySolveResult solved = lazy_solve(topology, options, lazy);
-  solved.plan.detail = "second-stage " + solved.plan.detail;
+  solved.plan.detail = "second-stage " + solved.plan.detail + " (coarse pass " +
+                       fmt_double(coarse_seconds, 2) + " s, exact pass " +
+                       fmt_double(solved.plan.seconds, 2) + " s)";
+  solved.plan.seconds = watch.seconds();
   return solved.plan;
 }
 

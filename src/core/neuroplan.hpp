@@ -47,7 +47,9 @@ NeuroPlanResult neuroplan(const topo::Topology& topology,
 
 /// Stage 2 only: prune the ILP around an existing first-stage plan
 /// (added units) with the given relax factor and solve it. Exposed so
-/// Figure 13 can sweep alpha without retraining.
+/// Figure 13 can sweep alpha without retraining. `seconds` is the
+/// whole call's wall time; `detail` ends with each pass's seconds,
+/// "(coarse pass C s, exact pass E s)".
 PlanResult second_stage(const topo::Topology& topology,
                         const std::vector<int>& first_stage_added,
                         double relax_factor, double time_limit_seconds = 300.0,

@@ -1,5 +1,5 @@
-// Bump allocator for pass-scoped intermediates (nn::InferenceEngine
-// activations and packed weights, ad::Tape node storage).
+// Bump allocator for pass-scoped intermediates: ad::Tape node values,
+// gradients and adjoint scratch, for update steps and acting forwards.
 //
 // An Arena hands out cache-line-aligned double/byte spans from its
 // chunks; reset() rewinds every chunk without releasing memory, so a

@@ -1,8 +1,6 @@
 #include "la/kernels.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -272,27 +270,6 @@ void transpose(const double* a, std::size_t rows, std::size_t cols, double* out)
   }
 }
 
-void bias_relu(double* x, std::size_t n, std::size_t m, const double* bias,
-               Activation act) {
-  for (std::size_t i = 0; i < n; ++i) {
-    double* row = x + i * m;
-    if (bias != nullptr) {
-      for (std::size_t j = 0; j < m; ++j) row[j] += bias[j];
-    }
-    if (act == Activation::kRelu) {
-      for (std::size_t j = 0; j < m; ++j) row[j] = row[j] > 0.0 ? row[j] : 0.0;
-    }
-  }
-}
-
-void matmul_bias_act(const double* a, std::size_t n, std::size_t k,
-                     const double* b, std::size_t m, const double* bias,
-                     Activation act, double* out) {
-  matmul(a, n, k, b, m, out);
-  bias_relu(out, n, m, bias, act);
-  NP_CHECK_FINITE(out, n * m, "kernels::matmul_bias_act");
-}
-
 void spmm(const CsrMatrix& a, const double* x, std::size_t cols, double* out) {
   const std::size_t rows = a.rows();
   const std::size_t* offsets = a.row_offsets().data();
@@ -331,75 +308,6 @@ void spmm_tn(const CsrMatrix& a, const double* x, std::size_t cols, double* out)
     }
   }
   NP_CHECK_FINITE(out, a.cols() * cols, "kernels::spmm_tn");
-}
-
-void mean_rows(const double* x, std::size_t n, std::size_t c, double* out) {
-  std::fill(out, out + c, 0.0);
-  for (std::size_t r = 0; r < n; ++r) {
-    const double* xrow = x + r * c;
-    for (std::size_t j = 0; j < c; ++j) out[j] += xrow[j];
-  }
-  const double inv = 1.0 / static_cast<double>(n);
-  for (std::size_t j = 0; j < c; ++j) out[j] *= inv;
-}
-
-void masked_log_softmax(const double* logits, const std::uint8_t* mask,
-                        std::size_t k, double* out) {
-  constexpr double kMaskedLogProb = -1e30;  // matches ad::Tape
-  double max_valid = -1e300;
-  std::size_t valid_count = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    if (mask[i]) {
-      max_valid = std::max(max_valid, logits[i]);
-      ++valid_count;
-    }
-  }
-  if (valid_count == 0) {
-    throw std::invalid_argument("kernels::masked_log_softmax: no valid entries");
-  }
-  double sum_exp = 0.0;
-  for (std::size_t i = 0; i < k; ++i) {
-    if (mask[i]) sum_exp += std::exp(logits[i] - max_valid);
-  }
-  const double log_z = max_valid + std::log(sum_exp);
-  for (std::size_t i = 0; i < k; ++i) {
-    out[i] = mask[i] ? logits[i] - log_z : kMaskedLogProb;
-  }
-}
-
-void gat_aggregate(const CsrMatrix& adjacency, const double* src,
-                   const double* dst, const double* z, std::size_t cols,
-                   double leaky_slope, double* scratch, double* out) {
-  const std::size_t n = adjacency.rows();
-  const std::size_t* offsets = adjacency.row_offsets().data();
-  const std::size_t* indices = adjacency.col_indices().data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t begin = offsets[i], end = offsets[i + 1];
-    const std::size_t deg = end - begin;
-    if (deg == 0) {
-      throw std::invalid_argument(
-          "kernels::gat_aggregate: node without neighbors (self loops required)");
-    }
-    double max_e = -1e300;
-    for (std::size_t e = 0; e < deg; ++e) {
-      const double pre = src[i] + dst[indices[begin + e]];
-      scratch[e] = pre > 0.0 ? pre : leaky_slope * pre;
-      max_e = std::max(max_e, scratch[e]);
-    }
-    double total = 0.0;
-    for (std::size_t e = 0; e < deg; ++e) {
-      scratch[e] = std::exp(scratch[e] - max_e);
-      total += scratch[e];
-    }
-    double* orow = out + i * cols;
-    std::fill(orow, orow + cols, 0.0);
-    for (std::size_t e = 0; e < deg; ++e) {
-      const double alpha = scratch[e] / total;
-      const double* zrow = z + indices[begin + e] * cols;
-      for (std::size_t j = 0; j < cols; ++j) orow[j] += alpha * zrow[j];
-    }
-  }
-  NP_CHECK_FINITE(out, n * cols, "kernels::gat_aggregate");
 }
 
 }  // namespace np::la::kernels

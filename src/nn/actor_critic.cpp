@@ -19,6 +19,15 @@ std::unique_ptr<GraphEncoder> make_encoder(const NetworkConfig& config, Rng& rng
                                       config.gcn_layers, rng);
 }
 
+/// The mask has one entry per (link, amount) action.
+void check_mask(const NetworkConfig& config, const la::Matrix& features,
+                const std::vector<std::uint8_t>& action_mask) {
+  if (action_mask.size() !=
+      features.rows() * static_cast<std::size_t>(config.max_units_per_step)) {
+    throw std::invalid_argument("ActorCritic: action mask size mismatch");
+  }
+}
+
 }  // namespace
 
 ActorCritic::ActorCritic(const NetworkConfig& config, Rng& rng)
@@ -32,23 +41,33 @@ ActorCritic::ActorCritic(const NetworkConfig& config, Rng& rng)
   }
 }
 
+ad::Tensor ActorCritic::encode(ad::Tape& tape,
+                               std::shared_ptr<const la::CsrMatrix> adjacency,
+                               const la::Matrix& features) {
+  NP_CHECK_DIMS(features.rows(), features.cols(), -1, config_.feature_dim,
+                "ActorCritic::encode");
+  return encoder_->forward(tape, std::move(adjacency), tape.constant(features));
+}
+
+ad::Tensor ActorCritic::policy_head(ad::Tape& tape, ad::Tensor embedding,
+                                    const std::vector<std::uint8_t>& action_mask) {
+  ad::Tensor logits = actor_.forward(tape, embedding);        // n x m
+  ad::Tensor flat = tape.flatten_to_row(logits);              // 1 x (n*m)
+  return tape.masked_log_softmax(flat, action_mask);
+}
+
+ad::Tensor ActorCritic::value_head(ad::Tape& tape, ad::Tensor embedding) {
+  return critic_.forward(tape, tape.mean_rows(embedding));
+}
+
 ad::Tensor ActorCritic::policy_log_probs(
     ad::Tape& tape, std::shared_ptr<const la::CsrMatrix> adjacency,
     const la::Matrix& features, const std::vector<std::uint8_t>& action_mask) {
   NP_SPAN("nn.policy_forward");
   static obs::Counter& forwards = obs::counter("nn.policy_forwards");
   forwards.add(1);
-  const std::size_t n = features.rows();
-  if (action_mask.size() != n * static_cast<std::size_t>(config_.max_units_per_step)) {
-    throw std::invalid_argument("policy_log_probs: mask size mismatch");
-  }
-  NP_CHECK_DIMS(features.rows(), features.cols(), -1, config_.feature_dim,
-                "ActorCritic::policy_log_probs");
-  ad::Tensor embedding =
-      encoder_->forward(tape, std::move(adjacency), tape.constant(features));
-  ad::Tensor logits = actor_.forward(tape, embedding);        // n x m
-  ad::Tensor flat = tape.flatten_to_row(logits);              // 1 x (n*m)
-  return tape.masked_log_softmax(flat, action_mask);
+  check_mask(config_, features, action_mask);
+  return policy_head(tape, encode(tape, std::move(adjacency), features), action_mask);
 }
 
 ad::Tensor ActorCritic::value(ad::Tape& tape,
@@ -57,11 +76,22 @@ ad::Tensor ActorCritic::value(ad::Tape& tape,
   NP_SPAN("nn.value_forward");
   static obs::Counter& forwards = obs::counter("nn.value_forwards");
   forwards.add(1);
-  NP_CHECK_DIMS(features.rows(), features.cols(), -1, config_.feature_dim,
-                "ActorCritic::value");
-  ad::Tensor embedding =
-      encoder_->forward(tape, std::move(adjacency), tape.constant(features));
-  return critic_.forward(tape, tape.mean_rows(embedding));
+  return value_head(tape, encode(tape, std::move(adjacency), features));
+}
+
+ActorCritic::Acting ActorCritic::act(ad::Tape& tape,
+                                     std::shared_ptr<const la::CsrMatrix> adjacency,
+                                     const la::Matrix& features,
+                                     const std::vector<std::uint8_t>& action_mask) {
+  NP_SPAN("nn.infer.forward");
+  static obs::Counter& forwards = obs::counter("nn.infer.forwards");
+  forwards.add(1);
+  check_mask(config_, features, action_mask);
+  const ad::Tensor embedding = encode(tape, std::move(adjacency), features);
+  Acting out;
+  out.log_probs = policy_head(tape, embedding, action_mask);
+  out.value = value_head(tape, embedding);
+  return out;
 }
 
 int ActorCritic::encode_action(ActionId action) const {

@@ -55,6 +55,17 @@ class ActorCritic {
                    std::shared_ptr<const la::CsrMatrix> adjacency,
                    const la::Matrix& features);
 
+  /// The acting forward: policy and value from ONE encoder pass. Each
+  /// head records exactly the ops policy_log_probs / value record, so
+  /// both outputs are bit-identical to those two forwards.
+  struct Acting {
+    ad::Tensor log_probs;  ///< 1 x (n*m), as policy_log_probs
+    ad::Tensor value;      ///< 1 x 1, as value
+  };
+  Acting act(ad::Tape& tape, std::shared_ptr<const la::CsrMatrix> adjacency,
+             const la::Matrix& features,
+             const std::vector<std::uint8_t>& action_mask);
+
   int encode_action(ActionId action) const;
   ActionId decode_action(int flat_index) const;
 
@@ -67,6 +78,13 @@ class ActorCritic {
   std::vector<ad::Parameter*> all_parameters();
 
  private:
+  /// The heads and the shared encoder pass every forward is built from.
+  ad::Tensor encode(ad::Tape& tape, std::shared_ptr<const la::CsrMatrix> adjacency,
+                    const la::Matrix& features);
+  ad::Tensor policy_head(ad::Tape& tape, ad::Tensor embedding,
+                         const std::vector<std::uint8_t>& action_mask);
+  ad::Tensor value_head(ad::Tape& tape, ad::Tensor embedding);
+
   NetworkConfig config_;
   std::unique_ptr<GraphEncoder> encoder_;
   Mlp actor_;   // per-node embedding -> m logits

@@ -24,31 +24,6 @@ GatEncoder::GatEncoder(std::string name, int in_features, int hidden, int layers
   }
 }
 
-std::shared_ptr<const std::vector<std::vector<int>>> GatEncoder::neighbor_lists(
-    const std::shared_ptr<const la::CsrMatrix>& adjacency) {
-  {
-    util::LockGuard lock(cache_mutex_);
-    auto it = neighbor_cache_.find(adjacency.get());
-    if (it != neighbor_cache_.end()) return it->second.lists;
-  }
-  auto lists = std::make_shared<std::vector<std::vector<int>>>(adjacency->rows());
-  for (std::size_t r = 0; r < adjacency->rows(); ++r) {
-    const auto begin = adjacency->row_offsets()[r];
-    const auto end = adjacency->row_offsets()[r + 1];
-    (*lists)[r].reserve(end - begin);
-    for (std::size_t k = begin; k < end; ++k) {
-      (*lists)[r].push_back(static_cast<int>(adjacency->col_indices()[k]));
-    }
-  }
-  util::LockGuard lock(cache_mutex_);
-  // Bound the cache: each entry keeps its adjacency alive, so long-lived
-  // encoders seeing many transient matrices hold at most 64 of them.
-  if (neighbor_cache_.size() >= 64) neighbor_cache_.clear();
-  auto [it, inserted] = neighbor_cache_.emplace(
-      adjacency.get(), NeighborEntry{adjacency, std::move(lists)});
-  return it->second.lists;
-}
-
 ad::Tensor GatEncoder::forward(ad::Tape& tape,
                                std::shared_ptr<const la::CsrMatrix> adjacency,
                                ad::Tensor features) {
@@ -56,13 +31,12 @@ ad::Tensor GatEncoder::forward(ad::Tape& tape,
   if (adjacency == nullptr) {
     throw std::invalid_argument("GatEncoder: null adjacency");
   }
-  const auto neighbors = neighbor_lists(adjacency);
   ad::Tensor h = features;
   for (AttentionLayer& layer : layers_) {
     ad::Tensor z = layer.projection.forward(tape, h);           // n x hidden
     ad::Tensor src = tape.matmul(z, tape.parameter(layer.a_src));  // n x 1
     ad::Tensor dst = tape.matmul(z, tape.parameter(layer.a_dst));  // n x 1
-    h = tape.relu(tape.gat_aggregate(src, dst, z, neighbors));
+    h = tape.relu(tape.gat_aggregate(src, dst, z, adjacency));
   }
   return h;
 }

@@ -79,7 +79,7 @@ RolloutWorkers::RolloutWorkers(const topo::Topology& topology,
   }
   envs_.reserve(workers);
   rngs_.reserve(workers);
-  workers_.resize(workers);
+  workers_ = std::vector<Worker>(workers);  // a Worker's tape cannot move
   Rng base(seed);
   for (int w = 0; w < workers; ++w) {
     envs_.push_back(std::make_unique<PlanningEnv>(topology, env_config));
@@ -127,15 +127,6 @@ std::vector<WorkerRollout> RolloutWorkers::collect(int total_steps) {
     throw std::invalid_argument("RolloutWorkers::collect: total_steps < 1");
   }
   NP_SPAN("rollout.collect");
-  // The weights stay frozen until the collect returns, so every engine
-  // snapshots them here, on the caller thread, before any worker runs.
-  for (Worker& worker : workers_) {
-    if (worker.engine == nullptr) {
-      worker.engine = std::make_unique<nn::InferenceEngine>(network_);
-    } else {
-      worker.engine->refresh();
-    }
-  }
   const int k = static_cast<int>(workers_.size());
   std::vector<WorkerRollout> out(k);
   std::vector<std::function<void()>> tasks;
@@ -176,13 +167,13 @@ WorkerRollout RolloutWorkers::collect_serial(Worker& worker, int steps) {
 
     {
       NP_SPAN("rollout.forward");
-      // One shared encoder pass for policy + value, bit-identical to
-      // the tape's policy_log_probs and value forwards.
-      const nn::InferenceEngine::Output out = worker.engine->forward(
-          *env.adjacency(), record.features, record.mask, /*want_value=*/true);
-      record.action = sample_from_log_probs(out.log_probs, record.mask, *worker.rng);
-      record.log_prob = out.log_probs[record.action];
-      record.value = out.value;
+      worker.tape.clear();
+      const nn::ActorCritic::Acting out =
+          network_.act(worker.tape, env.adjacency(), record.features, record.mask);
+      const double* log_probs = worker.tape.data(out.log_probs);
+      record.action = sample_from_log_probs(log_probs, record.mask, *worker.rng);
+      record.log_prob = log_probs[record.action];
+      record.value = worker.tape.data(out.value)[0];
     }
 
     StepResult step;
@@ -217,7 +208,9 @@ WorkerRollout RolloutWorkers::collect_serial(Worker& worker, int steps) {
 
   if (!rollout.records.back().terminal) {
     env.features_into(worker.features);
-    rollout.last_value = worker.engine->value(*env.adjacency(), worker.features);
+    worker.tape.clear();
+    rollout.last_value = worker.tape.data(
+        network_.value(worker.tape, env.adjacency(), worker.features))[0];
   }
   return rollout;
 }

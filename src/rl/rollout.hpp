@@ -2,10 +2,13 @@
 // single-process rendition).
 //
 // RolloutWorkers fills an epoch's step budget with K independent
-// workers. A worker is one PlanningEnv, one RNG stream, one tape-free
-// nn::InferenceEngine and its reused observation buffers. Every worker
-// runs the same serial acting loop over its own quota; the K loops run
-// as the K tasks of one thread-pool round per collect(). Two modes:
+// workers. A worker is one PlanningEnv, one RNG stream, one ad::Tape
+// and its reused observation buffers. Every worker runs the same serial
+// acting loop over its own quota; the K loops run as the K tasks of one
+// thread-pool round per collect(). Each step clears the worker's tape
+// and records ActorCritic::act on it (one encoder pass for policy and
+// value); the tape's storage is reused, and acting never calls
+// backward(), so no gradient storage is ever allocated. Two modes:
 //
 //  * Borrowed (K = 1): the worker's env and RNG are the caller's, and
 //    the pool has no threads, so the loop runs inline — the exact
@@ -15,9 +18,11 @@
 //    deterministically from the seed in worker order.
 //
 // A worker's trajectory depends only on its env, its RNG stream and
-// the weights, which stay frozen during a collect. So results depend
-// only on (K, seed, network weights) — never on thread count or
-// scheduling — and a K-worker run is reproducible anywhere.
+// the weights. The K tapes read the network's parameters in place and
+// concurrently, so the weights must stay frozen until collect()
+// returns. Results then depend only on (K, seed, network weights) —
+// never on thread count or scheduling — and a K-worker run is
+// reproducible anywhere.
 //
 // The per-worker buffers are returned separately (concatenation order =
 // worker index) so the trainer can bootstrap GAE per worker without
@@ -29,9 +34,9 @@
 #include <memory>
 #include <vector>
 
+#include "ad/tape.hpp"
 #include "la/matrix.hpp"
 #include "nn/actor_critic.hpp"
-#include "nn/inference.hpp"
 #include "rl/env.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -116,8 +121,8 @@ class RolloutWorkers {
   struct Worker {
     PlanningEnv* env = nullptr;
     Rng* rng = nullptr;
-    /// Built on the first collect(), refreshed before every later one.
-    std::unique_ptr<nn::InferenceEngine> engine;
+    /// Cleared before every forward; its storage stays warm.
+    ad::Tape tape;
     // Observation buffers reused across steps: the env writes into
     // these (features_into/action_mask_into) and records COPY them, so
     // per-step observation building allocates nothing once warm.
@@ -126,7 +131,7 @@ class RolloutWorkers {
   };
 
   /// One worker's serial acting loop over `steps` env steps.
-  static WorkerRollout collect_serial(Worker& worker, int steps);
+  WorkerRollout collect_serial(Worker& worker, int steps);
 
   nn::ActorCritic& network_;
   std::vector<Worker> workers_;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "nn/inference.hpp"
 #include "obs/obs.hpp"
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
@@ -155,7 +154,7 @@ void A2cTrainer::update_policy(const std::vector<StepRecord>& buffer,
   for (std::size_t begin = 0; begin < buffer.size(); begin += config_.chunk_steps) {
     const std::size_t end =
         std::min(buffer.size(), begin + static_cast<std::size_t>(config_.chunk_steps));
-    ad::Tape& tape = update_tape_;
+    ad::Tape& tape = tape_;
     tape.clear();
     std::vector<ad::Tensor>& step_log_probs = chunk_outputs_;
     step_log_probs.clear();
@@ -210,7 +209,7 @@ void A2cTrainer::update_critic(const std::vector<StepRecord>& buffer,
   for (std::size_t begin = 0; begin < buffer.size(); begin += config_.chunk_steps) {
     const std::size_t end =
         std::min(buffer.size(), begin + static_cast<std::size_t>(config_.chunk_steps));
-    ad::Tape& tape = update_tape_;
+    ad::Tape& tape = tape_;
     tape.clear();
     std::vector<ad::Tensor>& step_values = chunk_outputs_;
     step_values.clear();
@@ -227,20 +226,10 @@ void A2cTrainer::update_critic(const std::vector<StepRecord>& buffer,
   critic_optimizer_.step();
 }
 
-nn::InferenceEngine& A2cTrainer::acting_engine() {
-  if (acting_engine_ == nullptr) {
-    acting_engine_ = std::make_unique<nn::InferenceEngine>(network_);
-  } else {
-    acting_engine_->refresh();
-  }
-  return *acting_engine_;
-}
-
 A2cTrainer::PolicyEvaluation A2cTrainer::evaluate_policy(int rollouts) {
   if (rollouts < 1) throw std::invalid_argument("evaluate_policy: rollouts < 1");
   PolicyEvaluation eval;
   eval.rollouts = rollouts;
-  nn::InferenceEngine& engine = acting_engine();
   double cost_sum = 0.0;
   double best = kUnset;
   for (int r = 0; r < rollouts; ++r) {
@@ -248,9 +237,10 @@ A2cTrainer::PolicyEvaluation A2cTrainer::evaluate_policy(int rollouts) {
     while (!env_.done()) {
       const la::Matrix features = env_.features();
       const std::vector<std::uint8_t> mask = env_.action_mask();
-      const nn::InferenceEngine::Output out =
-          engine.forward(*env_.adjacency(), features, mask, /*want_value=*/false);
-      const StepResult step = env_.step(sample_from_log_probs(out.log_probs, mask, rng_));
+      tape_.clear();
+      const double* log_probs = tape_.data(
+          network_.policy_log_probs(tape_, env_.adjacency(), features, mask));
+      const StepResult step = env_.step(sample_from_log_probs(log_probs, mask, rng_));
       if (step.feasible) {
         ++eval.feasible;
         const double cost = env_.added_cost();
@@ -274,17 +264,17 @@ A2cTrainer::PolicyEvaluation A2cTrainer::evaluate_policy(int rollouts) {
 bool A2cTrainer::greedy_rollout() {
   env_.reset();
   bool feasible = false;
-  nn::InferenceEngine& engine = acting_engine();
   while (!env_.done()) {
     const la::Matrix features = env_.features();
     const std::vector<std::uint8_t> mask = env_.action_mask();
-    const nn::InferenceEngine::Output out =
-        engine.forward(*env_.adjacency(), features, mask, /*want_value=*/false);
+    tape_.clear();
+    const double* log_probs = tape_.data(
+        network_.policy_log_probs(tape_, env_.adjacency(), features, mask));
     int action = -1;
     double best = -1e301;
     for (std::size_t i = 0; i < mask.size(); ++i) {
-      if (mask[i] && out.log_probs[i] > best) {
-        best = out.log_probs[i];
+      if (mask[i] && log_probs[i] > best) {
+        best = log_probs[i];
         action = static_cast<int>(i);
       }
     }

@@ -15,7 +15,9 @@
 // by default), so tape memory stays O(chunk) instead of O(epoch).
 // Every step's parameter-leaf gradients reach Parameter::grad in step
 // order whatever the chunk size, so the gradient of the epoch loss, and
-// each Adam step, is the same bit for bit.
+// each Adam step, is the same bit for bit. Acting runs on tapes too:
+// the rollout workers' own (rl/rollout.hpp), and for evaluate_policy /
+// greedy_rollout the trainer's, cleared before every policy forward.
 //
 // Concurrency model: the trainer is single-threaded orchestration.
 // Parallelism lives below it — rollout workers own disjoint env/RNG
@@ -152,9 +154,6 @@ class A2cTrainer {
                      const std::vector<double>& advantages);
   void update_critic(const std::vector<StepRecord>& buffer,
                      const std::vector<double>& rewards_to_go);
-  /// Tape-free engine for evaluate_policy/greedy_rollout action
-  /// selection. Re-snapshots the current weights on every call.
-  nn::InferenceEngine& acting_engine();
 
   static constexpr double kUnset = kUnsetCost;
 
@@ -165,10 +164,10 @@ class A2cTrainer {
   ad::Adam actor_optimizer_;
   ad::Adam critic_optimizer_;
   std::unique_ptr<RolloutWorkers> rollout_;
-  std::unique_ptr<nn::InferenceEngine> acting_engine_;
-  /// One tape for every update chunk of every epoch: its node storage
+  /// One tape for every update chunk of every epoch and every acting
+  /// forward of evaluate_policy / greedy_rollout: its node storage
   /// grows inside the first update and is reused after that.
-  ad::Tape update_tape_;
+  ad::Tape tape_;
   std::vector<ad::Tensor> chunk_outputs_;  ///< per-step log-probs / values
   double best_cost_ = kUnset;
   std::vector<int> best_added_;

@@ -2,10 +2,14 @@
 // pipeline on the Figure 1 example and generator presets.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "core/baselines.hpp"
 #include "core/neuroplan.hpp"
 #include "plan/evaluator.hpp"
 #include "topo/generator.hpp"
+#include "util/stopwatch.hpp"
 
 namespace np::core {
 namespace {
@@ -95,6 +99,28 @@ TEST(SecondStage, LargerAlphaNeverHurts) {
   ASSERT_TRUE(a1.feasible);
   ASSERT_TRUE(a2.feasible);
   EXPECT_LE(a2.cost, a1.cost + 1e-6);
+}
+
+TEST(SecondStage, SecondsCoverBothPasses) {
+  topo::Topology t = preset_a();
+  PlanResult greedy = solve_greedy(t);
+  ASSERT_TRUE(greedy.feasible);
+  Stopwatch watch;
+  PlanResult pruned = second_stage(t, greedy.added_units, 1.5, 120.0);
+  const double wall = watch.seconds();
+  ASSERT_TRUE(pruned.feasible) << pruned.detail;
+  // The detail ends with each pass's seconds, printed to 0.01 s.
+  const std::size_t at = pruned.detail.rfind("(coarse pass ");
+  ASSERT_NE(at, std::string::npos) << pruned.detail;
+  double coarse = -1.0, exact = -1.0;
+  ASSERT_EQ(std::sscanf(pruned.detail.c_str() + at,
+                        "(coarse pass %lf s, exact pass %lf s)", &coarse, &exact),
+            2)
+      << pruned.detail;
+  EXPECT_GE(coarse, 0.0);
+  EXPECT_GE(exact, 0.0);
+  EXPECT_GE(pruned.seconds, coarse + exact - 0.01);
+  EXPECT_LE(pruned.seconds, wall);
 }
 
 TEST(SecondStage, ValidatesArguments) {

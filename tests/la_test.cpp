@@ -6,7 +6,9 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
+#include "la/arena.hpp"
 #include "la/kernels.hpp"
 #include "la/kernels_detail.hpp"
 #include "la/matrix.hpp"
@@ -338,6 +340,109 @@ TEST(KernelTile, Avx2MatmulTnMatchesPortable) {
 
 TEST(KernelTile, Avx2InputGradientMatchesPortable) {
   expect_avx2_matches_portable(Product::kGradInput);
+}
+
+// ---- arena (tape node storage) ----
+
+TEST(InferenceArena, BumpsAlignedAndResetsWithoutReallocating) {
+  Arena arena;
+  arena.reserve(1 << 14);
+  const long after_reserve = arena.reallocations();
+  EXPECT_EQ(after_reserve, 1);
+
+  double* a = arena.alloc_doubles(10);
+  double* b = arena.alloc_doubles(100);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 64, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 64, 0u);
+  a[9] = 1.0;
+  b[99] = 2.0;  // writable, non-overlapping
+  EXPECT_GE(arena.used_bytes(), 110 * sizeof(double));
+  const std::size_t high = arena.high_water_bytes();
+
+  for (int pass = 0; pass < 8; ++pass) {
+    arena.reset();
+    EXPECT_EQ(arena.used_bytes(), 0u);
+    arena.alloc_doubles(10);
+    arena.alloc_doubles(100);
+  }
+  EXPECT_EQ(arena.reallocations(), after_reserve);  // steady state: no heap
+  EXPECT_EQ(arena.high_water_bytes(), high);
+}
+
+TEST(InferenceArena, OverflowKeepsLivePointersAndLaterPassesReuseChunks) {
+  Arena arena;
+  arena.reserve(256);
+  double* a = arena.alloc_doubles(16);
+  for (int i = 0; i < 16; ++i) a[i] = i;
+  // Overflow the 256-byte chunk: a new chunk must serve this without
+  // touching `a`.
+  double* b = arena.alloc_doubles(4096);
+  b[4095] = 7.0;
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(a[i], i);
+  EXPECT_GE(arena.reallocations(), 2);
+
+  // reset() rewinds every chunk; the same shape then fits with no
+  // further growth.
+  arena.reset();
+  const long settled = arena.reallocations();
+  for (int pass = 0; pass < 4; ++pass) {
+    arena.alloc_doubles(16);
+    arena.alloc_doubles(4096);
+    arena.reset();
+  }
+  EXPECT_EQ(arena.reallocations(), settled);
+}
+
+TEST(InferenceArena, ReserveIsIdempotentWhenLargeEnough) {
+  Arena arena;
+  arena.reserve(4096);
+  const long once = arena.reallocations();
+  arena.reserve(1024);
+  arena.reserve(4096);
+  EXPECT_EQ(arena.reallocations(), once);
+}
+
+// ---- kernels vs plain loops and la::CsrMatrix ----
+
+Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng) {
+  Matrix m(r, c);
+  for (double& v : m.flat()) v = rng.normal();
+  return m;
+}
+
+TEST(InferenceKernels, MatmulBitIdenticalToPlainLoops) {
+  Rng rng(11);
+  // Sizes straddling the register block (4) and the cache tiles (64/128).
+  const std::size_t shapes[][3] = {
+      {1, 1, 1}, {3, 5, 2}, {4, 64, 128}, {7, 65, 129}, {30, 130, 140}};
+  for (const auto& s : shapes) {
+    const Matrix a = random_matrix(s[0], s[1], rng);
+    const Matrix b = random_matrix(s[1], s[2], rng);
+    const Matrix expected = ref::naive_matmul(a, b);
+    std::vector<double> out(s[0] * s[2], -1.0);
+    kernels::matmul(a.data(), s[0], s[1], b.data(), s[2], out.data());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i], expected.flat()[i]) << "entry " << i;
+    }
+  }
+}
+
+TEST(InferenceKernels, SpmmBitIdenticalToCsrMultiply) {
+  Rng rng(13);
+  // Ring with self loops, normalized like a GCN propagation operator.
+  const std::size_t n = 17;
+  std::vector<Triplet> t;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j : {i, (i + 1) % n, (i + n - 1) % n}) t.push_back({i, j, 1.0 / 3.0});
+  }
+  const CsrMatrix adj(n, n, t);
+  const Matrix x = random_matrix(n, 8, rng);
+  const Matrix expected = adj.multiply(x);
+  std::vector<double> out(n * 8);
+  kernels::spmm(adj, x.data(), 8, out.data());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], expected.flat()[i]);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // Neural-network layers: shapes, gradient checks through composed
-// GCN + MLP graphs, and the actor-critic policy head semantics.
+// GCN + MLP graphs, the actor-critic policy head semantics, and the
+// acting forward (one encoder pass) against the two training forwards.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "nn/actor_critic.hpp"
 #include "nn/gcn.hpp"
@@ -268,6 +271,115 @@ TEST(ActorCritic, GradientsReachAllGroupsThroughPolicyLoss) {
   for (ad::Parameter* p : net.critic_parameters()) {
     EXPECT_DOUBLE_EQ(p->grad.max_abs(), 0.0);
   }
+}
+
+// ---- the acting forward ----
+
+Matrix random_matrix(std::size_t r, std::size_t c, Rng& rng) {
+  Matrix m(r, c);
+  for (double& v : m.flat()) v = rng.normal();
+  return m;
+}
+
+std::vector<std::uint8_t> random_mask(std::size_t size, Rng& rng) {
+  std::vector<std::uint8_t> mask(size, 0);
+  for (std::uint8_t& valid : mask) valid = rng.uniform() < 0.7 ? 1 : 0;
+  mask[size / 2] = 1;  // at least one valid action
+  return mask;
+}
+
+/// Same shape and the same bytes (so +0.0 and -0.0 differ).
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+struct ActCase {
+  GnnType gnn;
+  int layers;
+  int hidden;
+  std::vector<int> mlp;
+  int m;
+  int nodes;
+};
+
+/// act() on a fresh tape against policy_log_probs and value, each on a
+/// fresh tape of its own, over three random states.
+void expect_act_matches_two_forwards(const ActCase& c, unsigned seed) {
+  Rng init(seed);
+  NetworkConfig config;
+  config.feature_dim = 4;
+  config.gnn_type = c.gnn;
+  config.gcn_layers = c.layers;
+  config.gcn_hidden = c.hidden;
+  config.mlp_hidden = c.mlp;
+  config.max_units_per_step = c.m;
+  ActorCritic network(config, init);
+
+  Rng data(seed + 100);
+  const auto adjacency = ring_adjacency(c.nodes);
+  for (int trial = 0; trial < 3; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const Matrix features = random_matrix(c.nodes, 4, data);
+    const std::vector<std::uint8_t> mask =
+        random_mask(static_cast<std::size_t>(c.nodes) * c.m, data);
+    ad::Tape acting, policy, value;
+    const ActorCritic::Acting out = network.act(acting, adjacency, features, mask);
+    EXPECT_TRUE(same_bits(
+        acting.value(out.log_probs),
+        policy.value(network.policy_log_probs(policy, adjacency, features, mask))));
+    EXPECT_TRUE(same_bits(acting.value(out.value),
+                          value.value(network.value(value, adjacency, features))));
+  }
+}
+
+TEST(ActorCriticAct, GcnMatchesPolicyAndValueBitwise) {
+  expect_act_matches_two_forwards({GnnType::kGcn, 2, 16, {16, 16}, 4, 11}, 21);
+  expect_act_matches_two_forwards({GnnType::kGcn, 4, 8, {8}, 2, 6}, 22);
+  expect_act_matches_two_forwards({GnnType::kGcn, 1, 96, {}, 3, 15}, 23);
+}
+
+TEST(ActorCriticAct, GatMatchesPolicyAndValueBitwise) {
+  expect_act_matches_two_forwards({GnnType::kGat, 2, 12, {16}, 4, 10}, 31);
+  expect_act_matches_two_forwards({GnnType::kGat, 1, 8, {8, 8}, 2, 7}, 32);
+}
+
+TEST(ActorCriticAct, ZeroLayerEncoderMatchesPolicyAndValueBitwise) {
+  // The identity encoder of the Fig. 10 "without GNN" ablation.
+  expect_act_matches_two_forwards({GnnType::kGcn, 0, 16, {12}, 4, 9}, 24);
+  expect_act_matches_two_forwards({GnnType::kGat, 0, 16, {12}, 4, 9}, 25);
+}
+
+TEST(ActorCriticAct, SecondActOnClearedTapeMakesNoArenaReallocation) {
+  Rng init(61);
+  NetworkConfig config;
+  config.feature_dim = 4;
+  config.gcn_layers = 2;
+  config.gcn_hidden = 32;
+  config.mlp_hidden = {32, 32};
+  ActorCritic network(config, init);
+
+  Rng data(62);
+  const auto adjacency = ring_adjacency(19);
+  const Matrix features = random_matrix(19, 4, data);
+  const std::vector<std::uint8_t> mask = random_mask(19 * 4, data);
+  ad::Tape tape;
+  const Matrix first = tape.value(network.act(tape, adjacency, features, mask).log_probs);
+  const long warm = tape.arena_reallocations();
+  const std::size_t reserved = tape.reserved_bytes();
+
+  tape.clear();
+  const Matrix second = tape.value(network.act(tape, adjacency, features, mask).log_probs);
+  EXPECT_TRUE(same_bits(second, first));
+  EXPECT_EQ(tape.arena_reallocations(), warm);
+  EXPECT_EQ(tape.reserved_bytes(), reserved);
+  // Other states of the same graph fit the same storage.
+  for (int step = 0; step < 8; ++step) {
+    tape.clear();
+    network.act(tape, adjacency, random_matrix(19, 4, data), random_mask(19 * 4, data));
+  }
+  EXPECT_EQ(tape.arena_reallocations(), warm);
+  EXPECT_EQ(tape.reserved_bytes(), reserved);
 }
 
 }  // namespace
