@@ -37,7 +37,11 @@ namespace np::bench {
 /// v6: rollout_throughput lost the fast/tape mode axis (one worker
 /// curve under "workers", each row with lp_us_per_iter); nn_inference
 /// lost its "ragged_batch" section ("arena_bytes" moved to the top).
-inline constexpr int kBenchSchemaVersion = 6;
+/// v7: lp_throughput runs one cold and one warm pass per formulation
+/// under the solver's own pricing (devex cold, Dantzig warm): the
+/// per-rule sections, "pricing_rules", the dense-inverse pass and the
+/// cold_iterations_vs_dantzig / sparse_vs_dense_* fields are gone.
+inline constexpr int kBenchSchemaVersion = 7;
 
 /// Git revision baked in at configure time (bench/CMakeLists.txt);
 /// "unknown" outside a git checkout.

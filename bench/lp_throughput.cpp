@@ -1,4 +1,4 @@
-// LP throughput microbench: pricing rules x basis engines on the
+// LP throughput microbench: cold and warm simplex solves of the
 // scenario feasibility LPs, written as JSON for
 // scripts/bench_rollout.sh -> BENCH_lp.json.
 //
@@ -10,35 +10,24 @@
 //   * "aggregated"  — source-aggregated rows (the stateful-evaluator
 //                     training hot path; topology B: ~84 rows), and
 //   * "per_flow"    — one commodity per flow (the vanilla-evaluator
-//                     formulation; topology B: ~164 rows, where the
-//                     dense engine's O(m^2)/O(m^3) costs dominate).
-// For every topology and formulation, each pricing rule (Dantzig /
-// devex / steepest edge) runs the workload on the sparse-LU engine,
-// cold (every solve from scratch) and warm (the basis of the previous
-// solve of the same scenario carried forward, exactly what the
-// evaluators do across env steps). The dense-inverse engine runs once
-// per formulation under devex as the engine-comparison reference.
-// Every configuration is preceded by a discarded warm-up execution so
-// one-off process costs (allocator page faults, cache and frequency
-// ramp-up) are not charged to whichever configuration runs first.
+//                     formulation; topology B: ~164 rows).
+// For every topology and formulation the workload runs twice: cold
+// (every solve from scratch, so the solver prices with devex) and warm
+// (the basis of the previous solve of the same scenario carried
+// forward, exactly what the evaluators do across env steps, so the
+// solver prices with Dantzig). Every configuration is preceded by a
+// discarded warm-up execution so one-off process costs (allocator page
+// faults, cache and frequency ramp-up) are not charged to whichever
+// configuration runs first.
 //
-// Headline metrics:
-//   * cold_iterations_vs_dantzig — per rule, Dantzig cold mean
-//     iterations / rule cold mean iterations (the pricing win);
-//   * sparse_vs_dense_solves_per_sec — engine speedup in the hot-path
-//     configuration (warm starts) on the full per-flow formulation;
-//   * warm_vs_cold_iteration_ratio — the warm-start win (mean
-//     iterations cold / warm) for the sparse engine on the aggregated
-//     hot-path LPs.
+// Headline metric: warm_vs_cold_iteration_ratio — the warm-start win
+// (mean iterations cold / warm) on the aggregated hot-path LPs of the
+// first topology.
 //
 // Knobs: NEUROPLAN_TOPOS (letters, default BC),
-//        NEUROPLAN_LP_RULES (comma-separated subset of
-//            dantzig,devex,steepest-edge — the weekly ASan workflow's
-//            pricing axis; default all three),
 //        NEUROPLAN_LP_CHECKS (env steps in the trajectory, default 48),
 //        NEUROPLAN_SEED (default 7).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -54,34 +43,6 @@
 namespace {
 
 using namespace np;
-
-constexpr lp::PricingRule kAllRules[] = {
-    lp::PricingRule::kDantzig,
-    lp::PricingRule::kDevex,
-    lp::PricingRule::kSteepestEdge,
-};
-
-std::vector<lp::PricingRule> rules_from_env() {
-  const std::string spec =
-      env_string("NEUROPLAN_LP_RULES", "dantzig,devex,steepest-edge");
-  std::vector<lp::PricingRule> rules;
-  std::size_t start = 0;
-  while (start <= spec.size()) {
-    std::size_t comma = spec.find(',', start);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string token = spec.substr(start, comma - start);
-    for (const lp::PricingRule rule : kAllRules) {
-      if (token == lp::to_string(rule)) rules.push_back(rule);
-    }
-    start = comma + 1;
-  }
-  if (rules.empty()) {
-    std::fprintf(stderr, "NEUROPLAN_LP_RULES=%s matches no rule; using all\n",
-                 spec.c_str());
-    rules.assign(std::begin(kAllRules), std::end(kAllRules));
-  }
-  return rules;
-}
 
 /// Reproducible monotone capacity trajectory with the env's action
 /// granularity: one unit added to one seeded-random link per step
@@ -116,16 +77,12 @@ struct PassResult {
   }
 };
 
-/// Replay the workload over the given scenario LPs with one engine and
-/// pricing rule.
+/// Replay the workload over the given scenario LPs, cold or warm.
 PassResult run_pass(const topo::Topology& topology,
                     const std::vector<std::vector<int>>& plans,
-                    std::vector<plan::ScenarioLp>& lps,
-                    lp::SimplexEngine engine, lp::PricingRule rule, bool warm) {
+                    std::vector<plan::ScenarioLp>& lps, bool warm) {
   lp::SimplexOptions options;
   options.max_iterations = 1000000;
-  options.engine = engine;
-  options.pricing = rule;
 
   PassResult pass;
   Stopwatch watch;
@@ -154,78 +111,43 @@ PassResult run_pass(const topo::Topology& topology,
 /// of charging the one-off cold ramp-in to every warm number.
 PassResult measure(const topo::Topology& topology,
                    const std::vector<std::vector<int>>& plans, bool aggregate,
-                   lp::SimplexEngine engine, lp::PricingRule rule, bool warm) {
+                   bool warm) {
   std::vector<plan::ScenarioLp> lps;
   const int scenarios = topology.num_failures() + 1;
   lps.reserve(scenarios);
   for (int s = 0; s < scenarios; ++s) {
     lps.push_back(plan::build_scenario_lp(topology, s, aggregate));
   }
-  run_pass(topology, plans, lps, engine, rule, warm);  // warm-up, discarded
+  run_pass(topology, plans, lps, warm);  // warm-up, discarded
   // Best-of-2: the faster execution is the estimate least polluted by
   // scheduler and frequency noise (the workload is deterministic, so
   // the two runs differ only in interference).
-  PassResult best = run_pass(topology, plans, lps, engine, rule, warm);
-  const PassResult second = run_pass(topology, plans, lps, engine, rule, warm);
+  PassResult best = run_pass(topology, plans, lps, warm);
+  const PassResult second = run_pass(topology, plans, lps, warm);
   if (second.seconds < best.seconds) best = second;
   return best;
 }
 
-struct RuleResult {
-  lp::PricingRule rule = lp::PricingRule::kDantzig;
-  PassResult cold, warm;
-};
-
 struct FormulationResult {
   int rows = 0;
-  std::vector<RuleResult> rules;          // sparse-LU engine, one per rule
-  lp::PricingRule dense_rule = lp::PricingRule::kDevex;
-  PassResult dense_cold, dense_warm;      // dense-inverse reference
+  PassResult cold, warm;
 
-  const RuleResult* find(lp::PricingRule rule) const {
-    for (const RuleResult& r : rules) {
-      if (r.rule == rule) return &r;
-    }
-    return nullptr;
-  }
-  /// The devex rows when measured, else the first rule — also the rule
-  /// the dense reference runs under, so the engine speedups compare
-  /// equal pricing.
-  const RuleResult& reference_rule() const {
-    const RuleResult* devex = find(lp::PricingRule::kDevex);
-    return devex != nullptr ? *devex : rules.front();
-  }
-  double cold_speedup() const {
-    return reference_rule().cold.solves_per_sec() / dense_cold.solves_per_sec();
-  }
-  double warm_speedup() const {
-    return reference_rule().warm.solves_per_sec() / dense_warm.solves_per_sec();
+  /// Mean iterations cold / warm: the warm-start win.
+  double warm_iteration_ratio() const {
+    return warm.mean_iterations() > 0.0
+               ? cold.mean_iterations() / warm.mean_iterations()
+               : 0.0;
   }
 };
 
 FormulationResult run_formulation(const topo::Topology& topology,
                                   const std::vector<std::vector<int>>& plans,
-                                  const std::vector<lp::PricingRule>& rules,
                                   bool aggregate) {
   FormulationResult result;
   result.rows =
       plan::build_scenario_lp(topology, 0, aggregate).model.num_rows();
-  for (const lp::PricingRule rule : rules) {
-    RuleResult rr;
-    rr.rule = rule;
-    rr.cold = measure(topology, plans, aggregate, lp::SimplexEngine::kSparseLu,
-                      rule, /*warm=*/false);
-    rr.warm = measure(topology, plans, aggregate, lp::SimplexEngine::kSparseLu,
-                      rule, /*warm=*/true);
-    result.rules.push_back(rr);
-  }
-  result.dense_rule = result.reference_rule().rule;
-  result.dense_cold = measure(topology, plans, aggregate,
-                              lp::SimplexEngine::kDenseInverse,
-                              result.dense_rule, /*warm=*/false);
-  result.dense_warm = measure(topology, plans, aggregate,
-                              lp::SimplexEngine::kDenseInverse,
-                              result.dense_rule, /*warm=*/true);
+  result.cold = measure(topology, plans, aggregate, /*warm=*/false);
+  result.warm = measure(topology, plans, aggregate, /*warm=*/true);
   return result;
 }
 
@@ -236,36 +158,22 @@ struct TopologyResult {
 };
 
 void print_text(const char* name, const FormulationResult& r) {
-  std::printf("%s (%d rows):\n", name, r.rows);
-  const RuleResult* dantzig = r.find(lp::PricingRule::kDantzig);
-  for (const RuleResult& rr : r.rules) {
-    std::printf("  %-13s cold %7.1f solves/s (%6.1f iters, %4.1f%% pricing), "
-                "warm %8.1f solves/s (%4.1f iters)",
-                lp::to_string(rr.rule), rr.cold.solves_per_sec(),
-                rr.cold.mean_iterations(), 100.0 * rr.cold.pricing_share(),
-                rr.warm.solves_per_sec(), rr.warm.mean_iterations());
-    if (dantzig != nullptr && rr.rule != lp::PricingRule::kDantzig &&
-        rr.cold.mean_iterations() > 0.0) {
-      std::printf("  [%.2fx fewer cold iters]",
-                  dantzig->cold.mean_iterations() / rr.cold.mean_iterations());
-    }
-    std::printf("\n");
-  }
-  std::printf("  dense-inverse (%s): cold %.1f solves/s, warm %.1f solves/s "
-              "-> sparse %.2fx cold, %.2fx warm\n",
-              lp::to_string(r.dense_rule), r.dense_cold.solves_per_sec(),
-              r.dense_warm.solves_per_sec(), r.cold_speedup(),
-              r.warm_speedup());
+  std::printf("%s (%d rows): cold %7.1f solves/s (%6.1f iters, %4.1f%% "
+              "pricing), warm %8.1f solves/s (%4.1f iters) -> %.2fx fewer "
+              "iterations warm\n",
+              name, r.rows, r.cold.solves_per_sec(), r.cold.mean_iterations(),
+              100.0 * r.cold.pricing_share(), r.warm.solves_per_sec(),
+              r.warm.mean_iterations(), r.warm_iteration_ratio());
 }
 
-void print_json_pass(std::FILE* out, const char* indent, const char* key,
-                     const PassResult& pass, bool trailing_comma) {
+void print_json_pass(std::FILE* out, const char* key, const PassResult& pass,
+                     bool trailing_comma) {
   std::fprintf(out,
-               "%s\"%s\": {\"solves\": %ld, \"iterations\": %ld, "
+               "        \"%s\": {\"solves\": %ld, \"iterations\": %ld, "
                "\"seconds\": %.4f, \"solves_per_sec\": %.2f, "
                "\"iterations_per_sec\": %.1f, \"mean_iterations\": %.2f, "
                "\"pricing_seconds\": %.4f, \"pricing_share\": %.3f}%s\n",
-               indent, key, pass.solves, pass.iterations, pass.seconds,
+               key, pass.solves, pass.iterations, pass.seconds,
                pass.solves_per_sec(), pass.iterations_per_sec(),
                pass.mean_iterations(), pass.pricing_seconds,
                pass.pricing_share(), trailing_comma ? "," : "");
@@ -274,38 +182,9 @@ void print_json_pass(std::FILE* out, const char* indent, const char* key,
 void print_json_formulation(std::FILE* out, const char* name,
                             const FormulationResult& r, bool trailing_comma) {
   std::fprintf(out, "      \"%s\": {\n        \"rows\": %d,\n", name, r.rows);
-  std::fprintf(out, "        \"sparse_lu\": {\n");
-  for (std::size_t k = 0; k < r.rules.size(); ++k) {
-    std::fprintf(out, "          \"%s\": {\n", lp::to_string(r.rules[k].rule));
-    print_json_pass(out, "            ", "cold", r.rules[k].cold, true);
-    print_json_pass(out, "            ", "warm", r.rules[k].warm, false);
-    std::fprintf(out, "          }%s\n",
-                 k + 1 < r.rules.size() ? "," : "");
-  }
-  std::fprintf(out, "        },\n        \"dense_inverse\": {\n");
-  std::fprintf(out, "          \"rule\": \"%s\",\n",
-               lp::to_string(r.dense_rule));
-  print_json_pass(out, "          ", "cold", r.dense_cold, true);
-  print_json_pass(out, "          ", "warm", r.dense_warm, false);
-  std::fprintf(out, "        },\n");
-  const RuleResult* dantzig = r.find(lp::PricingRule::kDantzig);
-  std::fprintf(out, "        \"cold_iterations_vs_dantzig\": {");
-  bool first = true;
-  for (const RuleResult& rr : r.rules) {
-    const double ratio =
-        dantzig != nullptr && rr.cold.mean_iterations() > 0.0
-            ? dantzig->cold.mean_iterations() / rr.cold.mean_iterations()
-            : 0.0;
-    std::fprintf(out, "%s\"%s\": %.3f", first ? "" : ", ",
-                 lp::to_string(rr.rule), ratio);
-    first = false;
-  }
-  std::fprintf(out, "},\n");
-  std::fprintf(out,
-               "        \"sparse_vs_dense_cold\": %.3f,\n"
-               "        \"sparse_vs_dense_warm\": %.3f\n"
-               "      }%s\n",
-               r.cold_speedup(), r.warm_speedup(), trailing_comma ? "," : "");
+  print_json_pass(out, "cold", r.cold, true);
+  print_json_pass(out, "warm", r.warm, false);
+  std::fprintf(out, "      }%s\n", trailing_comma ? "," : "");
 }
 
 }  // namespace
@@ -315,7 +194,6 @@ int main(int argc, char** argv) {
   const std::string topos = env_string("NEUROPLAN_TOPOS", "BC");
   const unsigned seed = static_cast<unsigned>(env_long("NEUROPLAN_SEED", 7));
   const int checks = static_cast<int>(env_long("NEUROPLAN_LP_CHECKS", 48));
-  const std::vector<lp::PricingRule> rules = rules_from_env();
 
   std::vector<TopologyResult> results;
   for (const char preset : topos) {
@@ -326,36 +204,18 @@ int main(int argc, char** argv) {
     tr.scenarios = topology.num_failures() + 1;
     std::printf("topology %c: %d scenario LPs x %d env steps\n", preset,
                 tr.scenarios, checks);
-    tr.aggregated = run_formulation(topology, plans, rules, /*aggregate=*/true);
+    tr.aggregated = run_formulation(topology, plans, /*aggregate=*/true);
     print_text("  aggregated (stateful hot path)", tr.aggregated);
-    tr.per_flow = run_formulation(topology, plans, rules, /*aggregate=*/false);
+    tr.per_flow = run_formulation(topology, plans, /*aggregate=*/false);
     print_text("  per-flow (vanilla evaluator)", tr.per_flow);
     results.push_back(std::move(tr));
   }
 
-  // Headlines, computed on the first topology: the pricing win on the
-  // per-flow cold configuration (the acceptance metric), the engine
-  // speedup warm on per-flow, and the warm-start iteration win on the
+  // Headline: the warm-start iteration win on the first topology's
   // aggregated hot path.
-  const TopologyResult& head = results.front();
-  const RuleResult& head_ref = head.per_flow.reference_rule();
-  const RuleResult* head_dantzig = head.per_flow.find(lp::PricingRule::kDantzig);
-  const double pricing_win =
-      head_dantzig != nullptr && head_ref.cold.mean_iterations() > 0.0
-          ? head_dantzig->cold.mean_iterations() /
-                head_ref.cold.mean_iterations()
-          : 0.0;
-  const double engine_speedup = head.per_flow.warm_speedup();
-  const RuleResult& agg_ref = head.aggregated.reference_rule();
   const double warm_iteration_ratio =
-      agg_ref.warm.mean_iterations() > 0.0
-          ? agg_ref.cold.mean_iterations() / agg_ref.warm.mean_iterations()
-          : 0.0;
-  std::printf("%s vs dantzig (topology %c, per-flow cold): %.2fx fewer iterations\n",
-              lp::to_string(head_ref.rule), head.preset, pricing_win);
-  std::printf("sparse vs dense (per-flow warm): %.2fx solves/sec\n",
-              engine_speedup);
-  std::printf("warm vs cold (sparse, aggregated): %.2fx fewer iterations/solve\n",
+      results.front().aggregated.warm_iteration_ratio();
+  std::printf("warm vs cold (aggregated): %.2fx fewer iterations/solve\n",
               warm_iteration_ratio);
 
   const char* out_path = argc > 1 ? argv[1] : "BENCH_lp.json";
@@ -369,12 +229,8 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "  \"benchmark\": \"lp_throughput\",\n"
                "  \"capacity_steps\": %d,\n"
-               "  \"pricing_rules\": [",
+               "  \"topologies\": {\n",
                checks);
-  for (std::size_t k = 0; k < rules.size(); ++k) {
-    std::fprintf(out, "%s\"%s\"", k > 0 ? ", " : "", lp::to_string(rules[k]));
-  }
-  std::fprintf(out, "],\n  \"topologies\": {\n");
   for (std::size_t t = 0; t < results.size(); ++t) {
     const TopologyResult& tr = results[t];
     std::fprintf(out,
@@ -385,12 +241,8 @@ int main(int argc, char** argv) {
     std::fprintf(out, "    }%s\n", t + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  },\n");
-  std::fprintf(out,
-               "  \"cold_iterations_vs_dantzig\": %.3f,\n"
-               "  \"sparse_vs_dense_solves_per_sec\": %.3f,\n"
-               "  \"warm_vs_cold_iteration_ratio\": %.3f\n"
-               "}\n",
-               pricing_win, engine_speedup, warm_iteration_ratio);
+  std::fprintf(out, "  \"warm_vs_cold_iteration_ratio\": %.3f\n}\n",
+               warm_iteration_ratio);
   std::fclose(out);
   std::printf("wrote %s\n", out_path);
   return 0;

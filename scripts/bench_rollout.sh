@@ -2,7 +2,7 @@
 # Build and run the rollout-throughput and LP-engine benches, writing
 # BENCH_rollout.json (steps/sec at 1, 2 and 4 rollout workers, with the
 # LP share of stepping time and the time per LP iteration) and
-# BENCH_lp.json (dense vs sparse simplex engine, cold vs warm starts)
+# BENCH_lp.json (cold vs warm simplex solves of the scenario LPs)
 # at the repo root.
 #
 #   scripts/bench_rollout.sh [build-dir]

@@ -55,6 +55,7 @@ void load_parameters(const std::vector<Parameter*>& parameters, std::istream& in
     if (p.value.rows() != rows || p.value.cols() != cols) {
       throw std::runtime_error("load_parameters: shape mismatch for '" + name + "'");
     }
+    ++p.version;
     for (double& v : p.value.flat()) {
       if (!(is >> v)) {
         throw std::runtime_error("load_parameters: truncated values for '" + name +

@@ -36,9 +36,11 @@ struct Parameter {
   la::Matrix grad;
   la::Matrix adam_m;  // first-moment estimate
   la::Matrix adam_v;  // second-moment estimate
-  /// Bumped by every optimizer step that rewrites `value`. A tape reads
-  /// `value` in place until its backward(), and checks (in checks-on
-  /// builds) that the version it registered is still current.
+  /// Bumped by every write to `value`: each optimizer step,
+  /// ad::load_parameters and A2cTrainer::resume_from_checkpoint. A tape
+  /// reads `value` in place until its backward(), and checks (in
+  /// checks-on builds) that the version it registered is still current;
+  /// a cache of anything derived from `value` can key on it.
   std::uint64_t version = 0;
 };
 

@@ -266,13 +266,6 @@ void BasisFactor::ftran_column(ColumnView a, std::vector<double>& w) const {
   }
 }
 
-double BasisFactor::ftran_column_norm2(ColumnView a) const {
-  ftran_column(a, norm_scratch_);
-  double norm2 = 0.0;
-  for (const double v : norm_scratch_) norm2 += v * v;
-  return norm2;
-}
-
 void BasisFactor::btran(std::vector<double>& x) const {
   apply_etas_transposed(x);
   work_.assign(m_, 0.0);

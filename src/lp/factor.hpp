@@ -1,5 +1,7 @@
 // Sparse LU basis factorization with a product-form eta file — the
-// linear-algebra core of the revised simplex sparse engine.
+// simplex's only basis representation (lp/simplex.cpp calls it
+// directly; tests/reference_basis.hpp keeps a dense Gauss-Jordan
+// inverse that it is checked against).
 //
 // The basis B (columns of the LP constraint matrix picked by the
 // current basis) is factorized as P·B·Q = L·U by left-looking sparse
@@ -17,8 +19,8 @@
 // makes solves with hyper-sparse right-hand sides (unit vectors, LP
 // columns with a handful of entries) cost far below O(m^2). Scenario
 // LPs (flow conservation + capacity rows) have ~8 nonzeros per row, so
-// this replaces the dense-inverse engine's O(m^2) per-iteration and
-// O(m^3) per-refactorization costs with near-O(nnz) ones.
+// a dense inverse's O(m^2) per-iteration and O(m^3) per-refactorization
+// costs become near-O(nnz) ones.
 //
 // L, U and the eta file live in flat (CSC-style) arrays whose capacity
 // survives refactorizations: a warm-started scenario solve refactorizes
@@ -73,13 +75,6 @@ class BasisFactor {
   /// FTRAN of one sparse column: w = B^{-1} a, w dense by position.
   /// The triangular solves only do work on populated positions.
   void ftran_column(ColumnView a, std::vector<double>& w) const;
-
-  /// ||B^{-1} a||^2 without materializing the result for the caller —
-  /// steepest-edge pricing needs exact column norms at initialization
-  /// (and for the debug-build weight audit) but never the vector
-  /// itself. Runs the same hyper-sparse solve as ftran_column into
-  /// internal scratch.
-  double ftran_column_norm2(ColumnView a) const;
 
   /// BTRAN with a dense right-hand side: x := B^{-T} x. Input indexed
   /// by basis position, output by row.
@@ -147,8 +142,7 @@ class BasisFactor {
   std::vector<int> order_;            // column elimination preorder
   std::vector<int> count_start_;      // counting-sort buckets for order_
   std::vector<int> row_count_;        // Markowitz-style pivot tie-break
-  mutable std::vector<double> work_;          // dense solve scratch
-  mutable std::vector<double> norm_scratch_;  // ftran_column_norm2 result
+  mutable std::vector<double> work_;  // dense solve scratch
 };
 
 }  // namespace np::lp

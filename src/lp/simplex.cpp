@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 
@@ -28,23 +27,6 @@ const char* to_string(SolveStatus status) {
   return "unknown";
 }
 
-const char* to_string(SimplexEngine engine) {
-  switch (engine) {
-    case SimplexEngine::kSparseLu: return "sparse-lu";
-    case SimplexEngine::kDenseInverse: return "dense-inverse";
-  }
-  return "unknown";
-}
-
-const char* to_string(PricingRule rule) {
-  switch (rule) {
-    case PricingRule::kDantzig: return "dantzig";
-    case PricingRule::kDevex: return "devex";
-    case PricingRule::kSteepestEdge: return "steepest-edge";
-  }
-  return "unknown";
-}
-
 namespace {
 
 constexpr double kPivotTolerance = 1e-9;
@@ -58,198 +40,33 @@ constexpr double kPivotTolerance = 1e-9;
 constexpr int kMaxCandidates = 32;
 constexpr int kCandidateRefill = 8;
 constexpr int kCandidateLowWater = 4;
+// Models with more columns than this (structural + slack + artificial)
+// price over the candidate list; smaller ones price every column every
+// iteration. Covers the scenario feasibility LPs, where a full sweep
+// would dominate the per-iteration cost.
+constexpr int kPartialPricingThreshold = 128;
 
-/// Basis linear-algebra backend. The simplex only ever touches the
-/// basis through these primitives, so the sparse LU engine and the
-/// dense-inverse reference are interchangeable (and differentially
-/// testable). Index conventions: "row" is a constraint row of the
-/// computational form, "position" is a basis slot 0..m-1.
-class BasisEngine {
- public:
-  virtual ~BasisEngine() = default;
-  /// Factorize the basis given by its column pointers (one per
-  /// position). Returns false when the basis is numerically singular.
-  virtual bool refactor(const std::vector<ColumnView>& cols) = 0;
-  /// w = B^{-1} a for one sparse column; w dense, by position.
-  virtual void ftran_column(ColumnView a, std::vector<double>& w) const = 0;
-  /// x := B^{-1} x with a dense right-hand side (rows in, positions out).
-  virtual void ftran_dense(std::vector<double>& x) const = 0;
-  /// x := B^{-T} x with a dense right-hand side (positions in, rows out).
-  virtual void btran_dense(std::vector<double>& x) const = 0;
-  /// rho = e_p^T B^{-1}: row p of the basis inverse, indexed by row —
-  /// the dual simplex pivot row.
-  virtual void btran_unit(int p, std::vector<double>& rho) const = 0;
-  /// Rank-one update after the basis exchange at position p, where w is
-  /// the FTRAN result of the entering column.
-  virtual void update(int p, const std::vector<double>& w) = 0;
-  /// ||B^{-1} a||^2 — exact steepest-edge column norm, used for the
-  /// slack-basis initialization and the debug weight audit.
-  virtual double ftran_norm2(ColumnView a) const = 0;
-  /// Engine-initiated early refactorization (sparse eta-file growth).
-  virtual bool prefers_refactor() const = 0;
-};
-
-/// Dense m x m basis inverse updated in product form — the original
-/// engine, kept as the differential-testing reference.
-class DenseInverseEngine final : public BasisEngine {
- public:
-  bool refactor(const std::vector<ColumnView>& cols) override {
-    // Gauss-Jordan inversion of the basis matrix with partial pivoting.
-    m_ = static_cast<int>(cols.size());
-    std::vector<double> mat(static_cast<std::size_t>(m_) * m_, 0.0);
-    for (int p = 0; p < m_; ++p) {
-      for (const auto& [r, coeff] : cols[p]) {
-        mat[static_cast<std::size_t>(r) * m_ + p] = coeff;
-      }
-    }
-    binv_.assign(static_cast<std::size_t>(m_) * m_, 0.0);
-    for (int i = 0; i < m_; ++i) binv_[static_cast<std::size_t>(i) * m_ + i] = 1.0;
-    for (int col = 0; col < m_; ++col) {
-      int pivot_row = col;
-      double best = std::abs(mat[static_cast<std::size_t>(col) * m_ + col]);
-      for (int r = col + 1; r < m_; ++r) {
-        const double cand = std::abs(mat[static_cast<std::size_t>(r) * m_ + col]);
-        if (cand > best) { best = cand; pivot_row = r; }
-      }
-      if (best < kPivotTolerance) return false;  // singular basis
-      if (pivot_row != col) {
-        for (int c = 0; c < m_; ++c) {
-          std::swap(mat[static_cast<std::size_t>(pivot_row) * m_ + c],
-                    mat[static_cast<std::size_t>(col) * m_ + c]);
-          std::swap(binv_[static_cast<std::size_t>(pivot_row) * m_ + c],
-                    binv_[static_cast<std::size_t>(col) * m_ + c]);
-        }
-      }
-      const double inv_pivot = 1.0 / mat[static_cast<std::size_t>(col) * m_ + col];
-      for (int c = 0; c < m_; ++c) {
-        mat[static_cast<std::size_t>(col) * m_ + c] *= inv_pivot;
-        binv_[static_cast<std::size_t>(col) * m_ + c] *= inv_pivot;
-      }
-      for (int r = 0; r < m_; ++r) {
-        if (r == col) continue;
-        const double factor = mat[static_cast<std::size_t>(r) * m_ + col];
-        if (factor == 0.0) continue;
-        for (int c = 0; c < m_; ++c) {
-          mat[static_cast<std::size_t>(r) * m_ + c] -=
-              factor * mat[static_cast<std::size_t>(col) * m_ + c];
-          binv_[static_cast<std::size_t>(r) * m_ + c] -=
-              factor * binv_[static_cast<std::size_t>(col) * m_ + c];
-        }
-      }
-    }
-    return true;
-  }
-
-  void ftran_column(ColumnView a, std::vector<double>& w) const override {
-    w.assign(m_, 0.0);
-    for (const auto& [r, coeff] : a) {
-      const double c = coeff;
-      for (int p = 0; p < m_; ++p) {
-        w[p] += binv_[static_cast<std::size_t>(p) * m_ + r] * c;
-      }
-    }
-  }
-
-  void ftran_dense(std::vector<double>& x) const override {
-    scratch_.assign(m_, 0.0);
-    for (int p = 0; p < m_; ++p) {
-      double value = 0.0;
-      const double* row = binv_.data() + static_cast<std::size_t>(p) * m_;
-      for (int r = 0; r < m_; ++r) value += row[r] * x[r];
-      scratch_[p] = value;
-    }
-    x = scratch_;
-  }
-
-  void btran_dense(std::vector<double>& x) const override {
-    scratch_.assign(m_, 0.0);
-    for (int p = 0; p < m_; ++p) {
-      const double cb = x[p];
-      if (cb == 0.0) continue;
-      const double* row = binv_.data() + static_cast<std::size_t>(p) * m_;
-      for (int r = 0; r < m_; ++r) scratch_[r] += cb * row[r];
-    }
-    x = scratch_;
-  }
-
-  void btran_unit(int p, std::vector<double>& rho) const override {
-    const double* row = binv_.data() + static_cast<std::size_t>(p) * m_;
-    rho.assign(row, row + m_);
-  }
-
-  void update(int p, const std::vector<double>& w) override {
-    const double inv_pivot = 1.0 / w[p];
-    double* prow = binv_.data() + static_cast<std::size_t>(p) * m_;
-    for (int c = 0; c < m_; ++c) prow[c] *= inv_pivot;
-    for (int q = 0; q < m_; ++q) {
-      if (q == p || w[q] == 0.0) continue;
-      double* row = binv_.data() + static_cast<std::size_t>(q) * m_;
-      const double factor = w[q];
-      for (int c = 0; c < m_; ++c) row[c] -= factor * prow[c];
-    }
-  }
-
-  double ftran_norm2(ColumnView a) const override {
-    ftran_column(a, scratch2_);
-    double norm2 = 0.0;
-    for (const double v : scratch2_) norm2 += v * v;
-    return norm2;
-  }
-
-  bool prefers_refactor() const override { return false; }
-
- private:
-  int m_ = 0;
-  std::vector<double> binv_;
-  mutable std::vector<double> scratch_;
-  mutable std::vector<double> scratch2_;  // ftran_norm2 result
-};
-
-/// Sparse LU + product-form eta file (lp/factor.hpp).
-class SparseLuEngine final : public BasisEngine {
- public:
-  bool refactor(const std::vector<ColumnView>& cols) override {
-    return factor_.factorize(static_cast<int>(cols.size()), cols);
-  }
-  void ftran_column(ColumnView a, std::vector<double>& w) const override {
-    factor_.ftran_column(a, w);
-  }
-  void ftran_dense(std::vector<double>& x) const override { factor_.ftran(x); }
-  void btran_dense(std::vector<double>& x) const override { factor_.btran(x); }
-  void btran_unit(int p, std::vector<double>& rho) const override {
-    factor_.btran_unit(p, rho);
-  }
-  void update(int p, const std::vector<double>& w) override {
-    factor_.append_eta(p, w);
-  }
-  double ftran_norm2(ColumnView a) const override {
-    return factor_.ftran_column_norm2(a);
-  }
-  bool prefers_refactor() const override { return factor_.prefers_refactor(); }
-
- private:
-  BasisFactor factor_;
-};
-
-std::unique_ptr<BasisEngine> make_engine(SimplexEngine engine) {
-  if (engine == SimplexEngine::kDenseInverse) {
-    return std::make_unique<DenseInverseEngine>();
-  }
-  return std::make_unique<SparseLuEngine>();
-}
+// Refactorize the basis every this many pivots (the LU also asks for an
+// early refactorization when its eta file outgrows it). Product-form
+// updates stay accurate for hundreds of pivots on well-scaled models;
+// the cold retry after a singular basis refactorizes far more often.
+constexpr int kRefactorInterval = 400;
+constexpr int kRetryRefactorInterval = 50;
 
 /// Internal solver state over the computational form A z = 0 with
 /// columns [structural | slack | artificial].
 class Simplex {
  public:
-  Simplex(const Model& model, const SimplexOptions& options)
-      : model_(model), options_(options) {
+  Simplex(const Model& model, const SimplexOptions& options,
+          int refactor_period)
+      : model_(model),
+        options_(options),
+        refactor_period_(refactor_period),
+        devex_(options.warm_start == nullptr) {
     n_struct_ = model.num_variables();
     m_ = model.num_rows();
     n_real_ = n_struct_ + m_;        // structural + slacks
     n_total_ = n_real_ + m_;         // + artificials
-    pricing_ = options.pricing;
-    engine_ = make_engine(options.engine);
     build_columns();
     build_bounds();
   }
@@ -407,8 +224,7 @@ class Simplex {
   /// bound so the artificial absorbs the smallest possible residual.
   /// This is what lets phase 1 scale with the number of *violated*
   /// rows instead of all of m, and it keeps the initial basis a signed
-  /// diagonal (slack -1 / artificial +-1), which the steepest-edge
-  /// initializer exploits.
+  /// diagonal (slack -1 / artificial +-1), which factorizes fill-free.
   void cold_start() {
     status_.assign(n_total_, VarStatus::kAtLower);
     val_.assign(n_total_, 0.0);
@@ -587,7 +403,7 @@ class Simplex {
       }
 
       compute_duals(y);
-      engine_->btran_unit(p_leave, rho);
+      factor_.btran_unit(p_leave, rho);
 
       // Entering variable: dual ratio test, min |d_j / alpha_j| over the
       // columns that can move the leaving variable toward its bound.
@@ -649,13 +465,13 @@ class Simplex {
       status_[enter] = VarStatus::kBasic;
       basis_[p_leave] = enter;
 
-      engine_->update(p_leave, w);
+      factor_.append_eta(p_leave, w);
       // Primal pricing weights do not track dual pivots; rebuild them
       // lazily when (if) the primal loop runs next.
       weights_valid_ = false;
       verified_terminal = false;
-      if (++pivots_since_refactor >= options_.refactor_interval ||
-          engine_->prefers_refactor()) {
+      if (++pivots_since_refactor >= refactor_period_ ||
+          factor_.prefers_refactor()) {
         pivots_since_refactor = 0;
         if (!refactor()) return std::nullopt;
         compute_basic_values();
@@ -694,7 +510,7 @@ class Simplex {
     return total;
   }
 
-  /// Recompute binv_ and the basic values from scratch unless nothing
+  /// Refactorize and recompute the basic values from scratch unless nothing
   /// touched them since the last factorization. Throws on a singular
   /// basis (solve() retries cold with frequent refactorization).
   void refresh_factorization() {
@@ -744,7 +560,7 @@ class Simplex {
         "Simplex: could not verify primal feasibility at the optimum");
   }
 
-  // ---- basis linear algebra (through the engine) ----
+  // ---- basis linear algebra ----
 
   /// Deep basis/bound invariants (Debug and sanitizer builds only):
   /// exactly m_ basic variables, basis_ and status_ agree, lb <= ub
@@ -804,7 +620,7 @@ class Simplex {
     refactorizations.add(1);
     basis_cols_.resize(m_);
     for (int p = 0; p < m_; ++p) basis_cols_[p] = col(basis_[p]);
-    return engine_->refactor(basis_cols_);
+    return factor_.factorize(m_, basis_cols_);
   }
 
   void compute_basic_values() {
@@ -814,13 +630,13 @@ class Simplex {
       if (status_[j] == VarStatus::kBasic || val_[j] == 0.0) continue;
       for (const auto& [r, coeff] : col(j)) rhs[r] -= coeff * val_[j];
     }
-    engine_->ftran_dense(rhs);
+    factor_.ftran(rhs);
     for (int p = 0; p < m_; ++p) val_[basis_[p]] = rhs[p];
   }
 
   /// w = B^{-1} a_j.
   void ftran(int j, std::vector<double>& w) const {
-    engine_->ftran_column(col(j), w);
+    factor_.ftran_column(col(j), w);
   }
 
   /// y = (c_B^T B^{-1})^T.
@@ -831,77 +647,39 @@ class Simplex {
       const double cb = cost_[basis_[p]];
       if (cb != 0.0) { y[p] = cb; any = true; }
     }
-    if (any) engine_->btran_dense(y);
+    if (any) factor_.btran(y);
   }
 
   // ---- pricing ----
   //
-  // Entering-variable selection is pluggable (options.pricing). All
-  // rules maximize violation^2 / weight_j, where the violation is the
-  // reduced-cost excess past the optimality tolerance in the movable
-  // direction and the weight is rule-specific:
+  // Both rules maximize violation^2 / weight_j, where the violation is
+  // the reduced-cost excess past the optimality tolerance in the
+  // movable direction and the weight is rule-specific:
   //
-  //   Dantzig        weight_j = 1 (same argmax as max |d_j|);
-  //   devex          weight_j approximates ||B^{-1} a_j||^2 against a
-  //                  reference framework (Forrest-Goldfarb), reset to
-  //                  all-ones on refactorization, invariant >= 1;
-  //   steepest edge  weight_j = gamma_j = 1 + ||B^{-1} a_j||^2 exactly,
-  //                  maintained by the recurrence below; survives
-  //                  refactorization (norms depend on the basis, not on
-  //                  how it is factorized).
+  //   Dantzig  weight_j = 1 (same argmax as max |d_j|); warm solves;
+  //   devex    weight_j approximates ||B^{-1} a_j||^2 against a
+  //            reference framework (Forrest-Goldfarb), reset to
+  //            all-ones on refactorization, invariant >= 1; cold solves.
   //
   // Per pivot (entering q at position p with FTRAN column w, pivot
   // alpha_p = w[p], pivot row alpha_j = rho . a_j with
-  // rho = e_p^T B^{-1}):
+  // rho = e_p^T B^{-1}), devex updates
   //
-  //   devex:  gamma_j <- max(gamma_j, (alpha_j/alpha_p)^2 gamma_q)
-  //           gamma_r <- max(gamma_q / alpha_p^2, 1)    (leaving var r)
-  //   SE:     gamma_j <- gamma_j - 2 (alpha_j/alpha_p)(a_j . tau)
-  //                      + (alpha_j/alpha_p)^2 gamma_q
-  //           with tau = B^{-T} w (one extra BTRAN), exact
-  //           gamma_q = 1 + ||w||^2, and the provable floor
-  //           gamma_j >= 1 + (alpha_j/alpha_p)^2 clamped on;
-  //           gamma_r <- gamma_q / alpha_p^2  (>= 1 + 1/alpha_p^2).
+  //   gamma_j <- max(gamma_j, (alpha_j/alpha_p)^2 gamma_q)
+  //   gamma_r <- max(gamma_q / alpha_p^2, 1)    (leaving var r)
   //
-  // Columns with alpha_j = 0 are untouched, so both updates cost
+  // Columns with alpha_j = 0 are untouched, so the update costs
   // O(nnz of the rows hit by rho), hyper-sparse in the scenario LPs.
 
-  bool needs_weights() const { return pricing_ != PricingRule::kDantzig; }
+  double weight_for(int j) const { return devex_ ? weight_[j] : 1.0; }
 
-  double weight_for(int j) const {
-    return needs_weights() ? weight_[j] : 1.0;
-  }
-
-  /// Lazily (re)build the weight vector. Devex resets to the reference
-  /// framework (all ones). Steepest edge computes exact norms: free for
-  /// the crash basis, where every basic column is its own row's slack
-  /// or artificial so B is a signed diagonal and ||B^{-1} a_j|| =
-  /// ||a_j||; one hyper-sparse FTRAN per nonbasic column otherwise
-  /// (warm starts — which is why warm callers prefer devex or Dantzig).
+  /// Lazily reset the devex weights to the reference framework (all
+  /// ones).
   void ensure_pricing_weights() {
-    if (!needs_weights() || weights_valid_) return;
+    if (!devex_ || weights_valid_) return;
     Stopwatch stopwatch;
     weight_.assign(n_total_, 1.0);
     ++weight_resets_;
-    if (pricing_ == PricingRule::kSteepestEdge) {
-      bool signed_diagonal = true;
-      for (int r = 0; r < m_; ++r) {
-        if (basis_[r] != n_real_ + r && basis_[r] != n_struct_ + r) {
-          signed_diagonal = false;
-          break;
-        }
-      }
-      for (int j = 0; j < n_total_; ++j) {
-        if (status_[j] == VarStatus::kBasic || lb_[j] == ub_[j]) continue;
-        if (signed_diagonal) {
-          double norm2 = 0.0;
-          for (const auto& [r, coeff] : col(j)) norm2 += coeff * coeff;
-          weight_[j] = 1.0 + norm2;
-        } else {
-          weight_[j] = 1.0 + engine_->ftran_norm2(col(j));
-        }
-      }
-    }
     weights_valid_ = true;
     pricing_seconds_ += stopwatch.seconds();
   }
@@ -925,88 +703,46 @@ class Simplex {
     }
   }
 
-  /// Apply the per-pivot weight recurrences (see block comment above).
+  /// Apply the per-pivot devex recurrence (see block comment above).
   /// Must run BEFORE the basis exchange mutates status_/basis_ and
-  /// BEFORE engine_->update: rho and tau are rows of the OLD basis
-  /// inverse. `entering` enters at position p; w is its FTRAN column.
+  /// BEFORE factor_.append_eta: rho is a row of the OLD basis inverse.
+  /// `entering` enters at position p; w is its FTRAN column.
   void update_pricing_weights(int entering, int p,
                               const std::vector<double>& w) {
     const double alpha_p = w[p];
     if (std::abs(alpha_p) < kPivotTolerance) return;
-    engine_->btran_unit(p, rho_);
+    factor_.btran_unit(p, rho_);
     compute_pivot_row(rho_);
     const int leaving = basis_[p];
     const double inv_ap2 = 1.0 / (alpha_p * alpha_p);
-    if (pricing_ == PricingRule::kDevex) {
-      const double gamma_q = std::max(weight_[entering], 1.0);
-      for (const int j : alpha_.pattern()) {
-        if (j == entering || status_[j] == VarStatus::kBasic ||
-            lb_[j] == ub_[j]) {
-          continue;
-        }
-        const double aj = alpha_[j];
-        if (aj == 0.0) continue;
-        const double candidate = aj * aj * inv_ap2 * gamma_q;
-        if (candidate > weight_[j]) weight_[j] = candidate;
+    const double gamma_q = std::max(weight_[entering], 1.0);
+    for (const int j : alpha_.pattern()) {
+      if (j == entering || status_[j] == VarStatus::kBasic ||
+          lb_[j] == ub_[j]) {
+        continue;
       }
-      weight_[leaving] = std::max(gamma_q * inv_ap2, 1.0);
-    } else {  // steepest edge
-      double wnorm2 = 0.0;
-      for (const double v : w) wnorm2 += v * v;
-      const double gamma_q = 1.0 + wnorm2;  // exact norm of the entering col
-      tau_ = w;
-      engine_->btran_dense(tau_);  // tau = B^{-T} w, indexed by row
-      for (const int j : alpha_.pattern()) {
-        if (j == entering || status_[j] == VarStatus::kBasic ||
-            lb_[j] == ub_[j]) {
-          continue;
-        }
-        const double aj = alpha_[j];
-        if (aj == 0.0) continue;
-        const double ratio = aj / alpha_p;
-        double dot = 0.0;
-        for (const auto& [r, coeff] : col(j)) dot += tau_[r] * coeff;
-        const double updated =
-            weight_[j] - 2.0 * ratio * dot + ratio * ratio * gamma_q;
-        weight_[j] = std::max(updated, 1.0 + ratio * ratio);
-      }
-      weight_[leaving] = std::max(gamma_q * inv_ap2, 1.0 + inv_ap2);
+      const double aj = alpha_[j];
+      if (aj == 0.0) continue;
+      const double candidate = aj * aj * inv_ap2 * gamma_q;
+      if (candidate > weight_[j]) weight_[j] = candidate;
     }
+    weight_[leaving] = std::max(gamma_q * inv_ap2, 1.0);
     // The entering variable turns basic; park its weight at the
     // reference floor so no stale value leaks if it later leaves the
     // basis through a path that skips the leaving-variable formula.
     weight_[entering] = 1.0;
   }
 
-  /// Weight contracts (debug / sanitizer builds): devex weights never
-  /// drop below the reference floor of 1; steepest-edge weights match
-  /// an exact norm recomputation on a bounded rotating sample of
-  /// nonbasic columns. The SE tolerance is loose — it exists to catch
-  /// index/sign bugs (orders-of-magnitude errors), not to bound honest
-  /// floating-point drift between refactorizations.
+  /// Weight contract (debug / sanitizer builds): devex weights never
+  /// drop below the reference floor of 1.
   void check_pricing_weights(const char* where) {
 #if NP_CHECKS_ENABLED
-    if (!needs_weights() || !weights_valid_) return;
-    if (pricing_ == PricingRule::kDevex) {
-      for (int j = 0; j < n_total_; ++j) {
-        if (status_[j] == VarStatus::kBasic || lb_[j] == ub_[j]) continue;
-        NP_ASSERT(weight_[j] >= 1.0,
-                  where, ": devex weight of column ", j, " is ", weight_[j],
-                  " (must stay >= 1)");
-      }
-    } else {
-      const int sample = std::min(n_total_, 32);
-      int checked = 0;
-      for (int step = 0; step < n_total_ && checked < sample; ++step) {
-        const int j = (weight_audit_cursor_ + step) % n_total_;
-        if (status_[j] == VarStatus::kBasic || lb_[j] == ub_[j]) continue;
-        const double exact = 1.0 + engine_->ftran_norm2(col(j));
-        NP_ASSERT(std::abs(weight_[j] - exact) <= 5e-2 * exact + 1e-6,
-                  where, ": steepest-edge weight of column ", j, " is ",
-                  weight_[j], " but the exact norm is ", exact);
-        ++checked;
-      }
-      weight_audit_cursor_ = (weight_audit_cursor_ + sample) % n_total_;
+    if (!devex_ || !weights_valid_) return;
+    for (int j = 0; j < n_total_; ++j) {
+      if (status_[j] == VarStatus::kBasic || lb_[j] == ub_[j]) continue;
+      NP_ASSERT(weight_[j] >= 1.0,
+                where, ": devex weight of column ", j, " is ", weight_[j],
+                " (must stay >= 1)");
     }
 #else
     (void)where;
@@ -1015,11 +751,9 @@ class Simplex {
 
   /// Refactorization hook for the pricing state: devex resets to the
   /// reference framework (its weights approximate against the last
-  /// reset point and degrade as the basis drifts from it); exact
-  /// steepest-edge norms are basis-dependent only and survive — they
-  /// are audited instead.
+  /// reset point and degrade as the basis drifts from it).
   void on_refactorized() {
-    if (pricing_ == PricingRule::kDevex && weights_valid_) {
+    if (devex_ && weights_valid_) {
       Stopwatch stopwatch;
       std::fill(weight_.begin(), weight_.end(), 1.0);
       ++weight_resets_;
@@ -1102,8 +836,7 @@ class Simplex {
       return score;
     };
 
-    const bool partial = options_.partial_pricing_threshold > 0 &&
-                         n_total_ > options_.partial_pricing_threshold;
+    const bool partial = n_total_ > kPartialPricingThreshold;
     if (!partial) {
       for (int j = 0; j < n_total_; ++j) {
         double violation; int dir;
@@ -1268,18 +1001,14 @@ class Simplex {
         continue;
       }
 
-      // Weight recurrences need the OLD basis inverse (rho, tau) and
-      // the pre-exchange status_/basis_, so they run before the swap.
-      // Pivots taken under Bland's rule skip the update; devex degrades
-      // gracefully (weights stay >= 1, still an approximation) but
-      // exact steepest-edge norms are invalidated and rebuilt when
-      // regular pricing resumes.
-      if (!bland && needs_weights() && weights_valid_) {
+      // The weight recurrence needs the OLD basis inverse (rho) and the
+      // pre-exchange status_/basis_, so it runs before the swap. Pivots
+      // taken under Bland's rule skip the update; devex degrades
+      // gracefully (weights stay >= 1, still an approximation).
+      if (!bland && devex_ && weights_valid_) {
         Stopwatch stopwatch;
         update_pricing_weights(entering, leaving_pos, w);
         pricing_seconds_ += stopwatch.seconds();
-      } else if (bland && pricing_ == PricingRule::kSteepestEdge) {
-        weights_valid_ = false;
       }
 
       const int leaving = basis_[leaving_pos];
@@ -1289,10 +1018,10 @@ class Simplex {
       status_[entering] = VarStatus::kBasic;
       basis_[leaving_pos] = entering;
 
-      engine_->update(leaving_pos, w);
+      factor_.append_eta(leaving_pos, w);
 
-      if (++pivots_since_refactor >= options_.refactor_interval ||
-          engine_->prefers_refactor()) {
+      if (++pivots_since_refactor >= refactor_period_ ||
+          factor_.prefers_refactor()) {
         pivots_since_refactor = 0;
         if (!refactor()) {
           throw std::logic_error("Simplex: basis became singular");
@@ -1311,7 +1040,7 @@ class Simplex {
     std::vector<double> rho;
     for (int p = 0; p < m_; ++p) {
       if (basis_[p] < n_real_) continue;
-      engine_->btran_unit(p, rho);
+      factor_.btran_unit(p, rho);
       int enter = -1;
       double enter_pivot = 0.0;
       for (int j = 0; j < n_real_; ++j) {
@@ -1333,7 +1062,7 @@ class Simplex {
       val_[leave] = 0.0;
       status_[enter] = VarStatus::kBasic;
       basis_[p] = enter;
-      engine_->update(p, w);
+      factor_.append_eta(p, w);
       weights_valid_ = false;  // pivots the pricing loop never saw
     }
   }
@@ -1383,6 +1112,7 @@ class Simplex {
 
   const Model& model_;
   const SimplexOptions& options_;
+  const int refactor_period_;
   int n_struct_ = 0;
   int m_ = 0;
   int n_real_ = 0;
@@ -1395,23 +1125,20 @@ class Simplex {
   long iterations_ = 0;
 
   // ---- pricing state ----
-  PricingRule pricing_ = PricingRule::kDevex;
-  // True while weight_ tracks the current basis (devex: since the last
-  // reference reset; steepest edge: exact norms). Invalidated by pivots
-  // the pricing loop never sees (dual repair, artificial purging,
-  // Bland-mode pivots under steepest edge) and rebuilt lazily.
+  const bool devex_;  // devex when cold, Dantzig when warm
+  // True while the devex weight_ tracks the current basis (since the
+  // last reference reset). Invalidated by pivots the pricing loop never
+  // sees (dual repair, artificial purging) and reset lazily.
   bool weights_valid_ = false;
   std::vector<double> weight_;
   std::vector<Candidate> candidates_;   // partial-pricing candidate list
   std::vector<char> in_candidates_;     // column -> on candidates_?
   int shard_cursor_ = 0;                // round-robin refill position
-  int weight_audit_cursor_ = 0;         // rotating debug-audit sample
   double pricing_seconds_ = 0.0;
   long candidates_scanned_ = 0;
   long heap_rebuilds_ = 0;
   long weight_resets_ = 0;
   std::vector<double> rho_;   // btran_unit scratch (pivot row of B^{-1})
-  std::vector<double> tau_;   // steepest-edge B^{-T} w scratch
   la::ScatterVector alpha_;   // pivot row rho^T A, stamp-deduplicated
 
   // Computational-form matrix in flat CSC layout: column j's (row,
@@ -1421,7 +1148,7 @@ class Simplex {
   std::vector<double> lb_, ub_, cost_, val_;
   std::vector<VarStatus> status_;
   std::vector<int> basis_;       // variable index per basis position
-  std::unique_ptr<BasisEngine> engine_;
+  BasisFactor factor_;
   std::vector<ColumnView> basis_cols_;  // refactor() scratch
 };
 
@@ -1432,7 +1159,7 @@ namespace {
 Solution solve_impl(const Model& model, const SimplexOptions& options) {
   model.validate();
   try {
-    Simplex simplex(model, options);
+    Simplex simplex(model, options, kRefactorInterval);
     return simplex.run();
   } catch (const util::ContractViolation&) {
     throw;  // contract bugs must surface, never be retried away
@@ -1445,9 +1172,8 @@ Solution solve_impl(const Model& model, const SimplexOptions& options) {
     singular_retries.add(1);
     SimplexOptions conservative = options;
     conservative.warm_start = nullptr;
-    conservative.refactor_interval = 50;
     try {
-      Simplex retry(model, conservative);
+      Simplex retry(model, conservative, kRetryRefactorInterval);
       return retry.run();
     } catch (const util::ContractViolation&) {
       throw;

@@ -7,17 +7,18 @@
 // the slack basic, so phase 1 minimizes artificials only on the
 // genuinely violated rows (equality rows with nonzero rhs) instead of
 // all of them; phase 2 fixes artificials to zero and optimizes the
-// real objective. Basis linear
-// algebra goes through a pluggable engine: the default keeps a sparse
-// LU factorization with a product-form eta file (lp/factor.hpp) —
-// FTRAN/BTRAN in O(fill), refactorization in O(fill^2)-ish — and the
-// legacy dense m x m inverse survives behind
-// SimplexOptions::engine = kDenseInverse for differential testing.
-// Entering-variable selection is a pluggable PricingRule (Dantzig /
-// devex / steepest edge) over a sharded partial-pricing candidate list
-// on large models (optimality is only declared after a full failed
-// sweep with current duals), with an automatic Bland fallback against
-// cycling; the ratio test supports bound flips.
+// real objective. The basis is one sparse LU factorization with a
+// product-form eta file (lp/factor.hpp): FTRAN/BTRAN in O(fill),
+// refactorization in O(fill^2)-ish.
+//
+// The solver picks its pricing rule from its input: devex
+// reference-framework weights on a cold start, Dantzig (largest
+// reduced cost) when SimplexOptions::warm_start is set, since warm
+// solves finish in a handful of pivots and weight upkeep would be pure
+// overhead. Large models price over a sharded partial-pricing candidate
+// list (optimality is only declared after a full failed sweep with
+// current duals), with an automatic Bland fallback against cycling;
+// the ratio test supports bound flips.
 //
 // Scale target: the NeuroPlan plan-evaluator feasibility LPs (hundreds
 // of rows, a few thousand columns) and the pruned planning ILPs solved
@@ -60,42 +61,6 @@ struct Basis {
   bool empty() const { return statuses.empty(); }
 };
 
-/// Basis linear-algebra backend.
-enum class SimplexEngine {
-  /// Sparse LU + product-form eta file (lp/factor.hpp). Default: the
-  /// scenario LPs are extremely sparse, so FTRAN/BTRAN cost O(fill)
-  /// instead of O(m^2) and refactorization is far below O(m^3).
-  kSparseLu,
-  /// Dense m x m basis inverse, updated in product form. Retained as
-  /// the differential-testing reference for the sparse engine.
-  kDenseInverse,
-};
-
-const char* to_string(SimplexEngine engine);
-
-/// Entering-variable selection rule.
-enum class PricingRule {
-  /// Most-violated reduced cost. Cheapest per iteration, most pivots;
-  /// retained as the differential-testing reference and as the warm
-  /// default (warm solves finish in a handful of pivots, so weight
-  /// upkeep would be pure overhead).
-  kDantzig,
-  /// Devex reference-framework weights (Forrest-Goldfarb): approximate
-  /// steepest-edge at O(pivot-row nnz) per pivot, weights reset to the
-  /// reference framework on refactorization. Default — close to
-  /// steepest-edge pivot counts at a fraction of the update cost.
-  kDevex,
-  /// Exact steepest-edge norms gamma_j = 1 + ||B^{-1} a_j||^2: exact
-  /// initial norms (cheap for the cold artificial basis), recurrence
-  /// updates per pivot using the already-computed FTRAN column plus one
-  /// extra BTRAN. Fewest pivots, priciest update; norms are
-  /// basis-dependent, not factorization-dependent, so they survive
-  /// refactorization untouched.
-  kSteepestEdge,
-};
-
-const char* to_string(PricingRule rule);
-
 struct SimplexOptions {
   double feasibility_tolerance = 1e-7;
   double optimality_tolerance = 1e-7;
@@ -107,33 +72,10 @@ struct SimplexOptions {
   /// SolveStatus::kTimeLimit. Defaults to unlimited, which costs one
   /// branch per iteration.
   util::Deadline deadline{};
+  /// Basis to start from. Also selects the pricing rule: Dantzig when
+  /// set (even if the basis is rejected and the solve starts cold),
+  /// devex when null.
   const Basis* warm_start = nullptr;
-  /// Refactorize the basis every this many pivots. Product-form
-  /// updates stay accurate for hundreds of pivots on well-scaled
-  /// models. The sparse engine additionally refactorizes early when its
-  /// eta file outgrows the factorization (refactoring is cheap there);
-  /// for the dense engine refactorization is O(m^3), so a small
-  /// interval dominates solve time on LPs with many rows.
-  int refactor_interval = 400;
-  SimplexEngine engine = SimplexEngine::kSparseLu;
-  /// Entering-variable selection rule. Devex by default for cold
-  /// solves: reference-framework weights price at near-Dantzig
-  /// per-iteration cost while guarding against the textbook Dantzig
-  /// stalls on badly scaled columns. Callers doing short warm solves
-  /// (np::plan stateful checks, warm B&B dives) switch to kDantzig per
-  /// solve, where weight maintenance cannot pay for itself.
-  PricingRule pricing = PricingRule::kDevex;
-  /// Sharded partial pricing on models with more than this many columns
-  /// (structural + slack + artificial): a bounded candidate list of
-  /// weighted reduced costs is re-priced each iteration and refilled
-  /// round-robin from column shards when it runs thin. Optimality is
-  /// only declared on an iteration whose (re-)scan covered every shard
-  /// with the current duals and found nothing — the full weighted
-  /// sweep fall-through. <= 0 disables partial pricing (every
-  /// iteration prices all columns). The default covers the scenario
-  /// feasibility LPs, where a full sweep would dominate the
-  /// per-iteration cost of the sparse engine.
-  int partial_pricing_threshold = 128;
 };
 
 /// Which start the solver ended up using (telemetry for tuning).
@@ -153,7 +95,7 @@ struct Solution {
   double solve_seconds = 0.0;
   /// Seconds spent inside entering-variable selection and pricing-
   /// weight maintenance (subset of solve_seconds) — the bench reports
-  /// it as the pricing-time share per rule.
+  /// it as the pricing-time share.
   double pricing_seconds = 0.0;
   StartPath start_path = StartPath::kCold;
 };

@@ -97,13 +97,6 @@ class BranchAndBound {
       const double remaining = options_.time_limit_seconds - watch.seconds();
       lp_opts.time_limit_seconds = std::min(lp_opts.time_limit_seconds, remaining);
       if (node.parent_basis != nullptr) lp_opts.warm_start = node.parent_basis.get();
-      // Pricing per dive: warm child nodes are repaired by the dual
-      // simplex and finish in a few primal pivots (weight upkeep is
-      // overhead there); cold dives keep the configured rule (devex by
-      // default).
-      if (node.parent_basis != nullptr) {
-        lp_opts.pricing = lp::PricingRule::kDantzig;
-      }
       lp::Solution relax = lp::solve(work_, lp_opts);
       result.lp_iterations += relax.iterations;
 

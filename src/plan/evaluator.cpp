@@ -76,11 +76,6 @@ CheckResult PlanEvaluator::check_scenario(int scenario,
     }
     ScenarioLp& lp = *cached_[scenario];
     set_plan_capacities(lp, topology_, total_units);
-    // Warm re-checks finish in a handful of pivots, where devex weight
-    // upkeep is pure overhead — Dantzig once a basis exists, devex for
-    // the first (cold) solve of each scenario.
-    options.pricing = lp.has_basis ? lp::PricingRule::kDantzig
-                                   : lp::PricingRule::kDevex;
     if (mode_ == EvaluatorMode::kWarmPatched) {
       // Serving boundary: a solve that dies (injected fault, contract
       // violation, solver error) must identify its scenario so the
@@ -99,7 +94,6 @@ CheckResult PlanEvaluator::check_scenario(int scenario,
   } else {
     ScenarioLp lp = build_scenario_lp(topology_, scenario, aggregate);
     set_plan_capacities(lp, topology_, total_units);
-    options.pricing = lp::PricingRule::kDevex;  // always cold here
     check = solve_scenario(lp, options, /*warm=*/false);
   }
   result.feasible = check.feasible;

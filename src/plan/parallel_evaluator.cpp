@@ -78,10 +78,6 @@ CheckResult ParallelPlanEvaluator::check(const std::vector<int>& total_units) {
         ScenarioLp& lp = *cached_[t][k];
         set_plan_capacities(lp, topology_, total_units);
         lp::SimplexOptions options = lp_options_;
-        // Same cold/warm pricing split as the serial stateful
-        // evaluator: devex only pays off on the first (cold) solve.
-        options.pricing = lp.has_basis ? lp::PricingRule::kDantzig
-                                       : lp::PricingRule::kDevex;
         if (scenario_budget_seconds_ > 0.0) {
           options.deadline = util::Deadline::after_seconds(scenario_budget_seconds_);
         }

@@ -191,9 +191,6 @@ ScenarioCheck solve_scenario(ScenarioLp& lp, const lp::SimplexOptions& base_opti
     // only deepen the stall the deadline exists to bound.
     static obs::Counter& cold_retries = obs::counter("plan.cold_retries");
     cold_retries.add(1);
-    // The retry keeps the caller's pricing rule on purpose: callers
-    // pick pricing per cold/warm path themselves, and the bench relies
-    // on per-rule measurements staying uncontaminated.
     options.warm_start = nullptr;
     lp::Solution retry = lp::solve(lp.model, options);
     retry.iterations += solution.iterations;

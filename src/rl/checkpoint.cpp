@@ -299,6 +299,7 @@ void A2cTrainer::resume_from_checkpoint(const std::string& path) {
                                "' does not match live parameter '" + p->name +
                                "' (name/shape)");
     }
+    ++p->version;
     read_matrix_line(in, "v", p->value);
     read_matrix_line(in, "m", p->adam_m);
     read_matrix_line(in, "s", p->adam_v);

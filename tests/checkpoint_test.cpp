@@ -4,12 +4,15 @@
 // bit-for-bit identical to the uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "ad/checkpoint.hpp"
 #include "ad/snapshot.hpp"
 #include "la/matrix.hpp"
 #include "rl/trainer.hpp"
@@ -260,6 +263,41 @@ TEST(Checkpoint, TrainWritesPeriodicCheckpoints) {
   EXPECT_EQ(resumed.epochs_completed(), 2);
   EXPECT_DOUBLE_EQ(resumed.best_cost(), trainer.best_cost());
   expect_parameters_identical(resumed, trainer);
+}
+
+TEST(Checkpoint, ResumeAndLoadBumpEveryParameterVersion) {
+  // Parameter::version must move whenever value is rewritten, so that
+  // anything derived from a parameter's value can key on it.
+  const topo::Topology t = small_topology();
+  TrainConfig config = small_config();
+  config.epochs = 1;
+  const std::string path = temp_path("trainer_versions.state");
+  {
+    A2cTrainer trained(t, config);
+    trained.train();
+    trained.save_checkpoint(path);
+  }
+  A2cTrainer resumed(t, config);
+  const std::vector<ad::Parameter*> params = resumed.network().all_parameters();
+  auto versions = [&params] {
+    std::vector<std::uint64_t> out;
+    for (const ad::Parameter* p : params) out.push_back(p->version);
+    return out;
+  };
+
+  std::vector<std::uint64_t> before = versions();
+  resumed.resume_from_checkpoint(path);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    EXPECT_GT(params[i]->version, before[i]) << "resume: " << params[i]->name;
+  }
+
+  std::stringstream buffer;
+  ad::save_parameters(params, buffer);
+  before = versions();
+  ad::load_parameters(params, buffer);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    EXPECT_GT(params[i]->version, before[i]) << "load: " << params[i]->name;
+  }
 }
 
 TEST(Checkpoint, ResumeRejectsMismatchedConfig) {

@@ -7,6 +7,10 @@
 //  * umbrella header compiles and exposes the advertised API.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <ostream>
+#include <string>
+
 #include "neuroplan.hpp"
 #include "util/rng.hpp"
 
@@ -59,6 +63,24 @@ struct GeneratorCase {
   int sources;
 };
 
+// ctest names a value-parameterized test after both its gtest name and
+// gtest's print of GetParam(); without these two, both would spell out
+// the struct's bytes, indeterminate padding included, and the names
+// would change from build to build.
+std::string case_name(const GeneratorCase& c) {
+  return "regions" + std::to_string(c.regions) + "_sites" +
+         std::to_string(c.sites) + "_parallel" +
+         std::to_string(std::lround(100.0 * c.parallel)) + "_flows" +
+         std::to_string(c.flows) + "_silver" +
+         std::to_string(std::lround(100.0 * c.silver)) + "_sources" +
+         std::to_string(c.sources);
+}
+
+void PrintTo(const GeneratorCase& c, std::ostream* os) {
+  *os << '{' << c.regions << ", " << c.sites << ", " << c.parallel << ", "
+      << c.flows << ", " << c.silver << ", " << c.sources << '}';
+}
+
 class GeneratorSweep : public ::testing::TestWithParam<GeneratorCase> {};
 
 TEST_P(GeneratorSweep, GeneratesValidPlannableInstances) {
@@ -90,7 +112,10 @@ INSTANTIATE_TEST_SUITE_P(
                       GeneratorCase{2, 3, 0.5, 6, 0.5, 3},
                       GeneratorCase{2, 5, 0.2, 12, 0.3, 4},
                       GeneratorCase{3, 3, 0.3, 10, 0.2, 5},
-                      GeneratorCase{4, 4, 0.4, 20, 0.3, 6}));
+                      GeneratorCase{4, 4, 0.4, 20, 0.3, 6}),
+    [](const ::testing::TestParamInfo<GeneratorCase>& info) {
+      return case_name(info.param);
+    });
 
 // ---- environment / evaluator consistency under random policies ----
 

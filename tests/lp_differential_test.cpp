@@ -1,20 +1,21 @@
-// Differential tests for the simplex backends: the sparse-LU and
-// dense-inverse basis engines crossed with the three pricing rules
-// (Dantzig / devex / steepest edge) are interchangeable configurations
-// of the same simplex, so on any model every combination must return
-// identical verdicts and (for optimal solves) objectives within 1e-7 —
-// on the scenario feasibility LPs the evaluators solve, on
-// warm-started trajectories, and on randomized general LPs. Plus
-// pricing regressions (degenerate LPs must terminate under partial
-// pricing; weight invariants must hold under frequent refactorization)
-// and property tests of BasisFactor itself: a factorization (before
-// and after product-form eta accumulation, including degenerate
-// exchanges) must keep solving the basis it claims to represent.
+// Differential tests for the simplex. Its two live paths, a cold
+// start priced with devex and a warm start (dual repair, then Dantzig
+// pricing), must return the same verdicts and, for optimal solves,
+// objectives within 1e-7: on the scenario feasibility LPs the
+// evaluators solve, along warm-started capacity trajectories, and on
+// randomized general LPs re-solved after a bound change. Plus pricing
+// regressions (the rule follows the warm start; degenerate LPs must
+// terminate under partial pricing; devex weights must hold their floor
+// across mid-solve refactorizations), property tests of BasisFactor
+// itself, and BasisFactor checked solve by solve against a dense
+// Gauss-Jordan inverse (tests/reference_basis.hpp), before and after
+// product-form eta accumulation.
 //
 // All randomness is seeded; NEUROPLAN_TEST_SEED offsets every seed so
 // a different corpus can be swept reproducibly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -22,7 +23,9 @@
 #include "lp/factor.hpp"
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
+#include "obs/metrics.hpp"
 #include "plan/scenario_lp.hpp"
+#include "reference_basis.hpp"
 #include "topo/generator.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
@@ -35,122 +38,105 @@ std::uint64_t test_seed(unsigned salt) {
          salt * 7919u + 131u;
 }
 
-constexpr SimplexEngine kEngines[] = {SimplexEngine::kSparseLu,
-                                      SimplexEngine::kDenseInverse};
-constexpr PricingRule kRules[] = {PricingRule::kDantzig, PricingRule::kDevex,
-                                  PricingRule::kSteepestEdge};
-
-SimplexOptions solver_options(SimplexEngine engine,
-                              PricingRule rule = PricingRule::kDevex) {
+SimplexOptions solver_options(const Basis* warm_start = nullptr) {
   SimplexOptions options;
-  options.engine = engine;
-  options.pricing = rule;
   options.max_iterations = 1000000;
+  options.warm_start = warm_start;
   return options;
 }
 
 /// Objective agreement tolerance: absolute for small values, relative
-/// for large ones (the ISSUE-level contract is 1e-7).
-void expect_objectives_match(double sparse, double dense) {
-  EXPECT_NEAR(sparse, dense, 1e-7 * std::max(1.0, std::abs(sparse)));
+/// for large ones (1e-7).
+void expect_objectives_match(double got, double want) {
+  EXPECT_NEAR(got, want, 1e-7 * std::max(1.0, std::abs(want)));
 }
 
-// ---- scenario-LP differential ----
+// ---- warm (Dantzig, dual repair) vs cold (devex) ----
 
-TEST(EngineDifferential, ScenarioLpsAgreeAcrossCapacityPlans) {
+TEST(SolverAgreement, ScenarioLpsAgreeAcrossCapacityPlans) {
+  // Random monotone capacity plans, scarce to plentiful: each plan is
+  // solved cold and warm from the previous plan's basis.
   const topo::Topology topology = topo::make_preset('B');
   Rng rng(test_seed(1));
   for (const bool aggregate : {true, false}) {
     for (int scenario = 0; scenario <= topology.num_failures(); scenario += 3) {
       plan::ScenarioLp lp = plan::build_scenario_lp(topology, scenario, aggregate);
       std::vector<int> units = topology.initial_units();
+      Basis previous;
       for (int trial = 0; trial < 4; ++trial) {
-        // Random monotone capacity plan, from scarce to plentiful.
         for (int l = 0; l < topology.num_links(); ++l) {
           const int headroom = topology.spectrum_headroom_units(l, units);
           units[l] += static_cast<int>(
               rng.uniform_index(static_cast<std::size_t>(headroom) + 1));
         }
         plan::set_plan_capacities(lp, topology, units);
-        // Reference: sparse LU under Dantzig; every engine x rule combo
-        // must agree with it.
-        const Solution reference = solve(
-            lp.model, solver_options(SimplexEngine::kSparseLu, kRules[0]));
-        const double tol = 1e-6 * std::max(1.0, lp.total_demand);
-        for (const SimplexEngine engine : kEngines) {
-          for (const PricingRule rule : kRules) {
-            if (engine == kEngines[0] && rule == kRules[0]) continue;
-            const Solution got = solve(lp.model, solver_options(engine, rule));
-            SCOPED_TRACE(::testing::Message()
-                         << (aggregate ? "aggregated" : "per-flow")
-                         << " scenario " << scenario << " trial " << trial
-                         << " engine " << to_string(engine) << " rule "
-                         << to_string(rule) << " seed " << test_seed(1));
-            ASSERT_EQ(reference.status, SolveStatus::kOptimal);
-            ASSERT_EQ(got.status, SolveStatus::kOptimal);
-            expect_objectives_match(got.objective, reference.objective);
-            // Identical feasibility verdicts under the evaluator's rule.
-            EXPECT_EQ(got.objective <= tol, reference.objective <= tol);
-          }
+        const Solution cold = solve(lp.model, solver_options());
+        SCOPED_TRACE(::testing::Message()
+                     << (aggregate ? "aggregated" : "per-flow") << " scenario "
+                     << scenario << " trial " << trial << " seed "
+                     << test_seed(1));
+        ASSERT_EQ(cold.status, SolveStatus::kOptimal);
+        EXPECT_EQ(cold.start_path, StartPath::kCold);
+        if (trial > 0) {
+          const Solution warm = solve(lp.model, solver_options(&previous));
+          ASSERT_EQ(warm.status, SolveStatus::kOptimal);
+          EXPECT_NE(warm.start_path, StartPath::kCold);
+          expect_objectives_match(warm.objective, cold.objective);
+          // Identical feasibility verdicts under the evaluator's rule.
+          const double tol = 1e-6 * std::max(1.0, lp.total_demand);
+          EXPECT_EQ(warm.objective <= tol, cold.objective <= tol);
+          previous = warm.basis;
+        } else {
+          previous = cold.basis;
         }
       }
     }
   }
 }
 
-TEST(EngineDifferential, WarmTrajectoriesAgree) {
+TEST(SolverAgreement, WarmTrajectoriesAgree) {
   // Replay one env-like trajectory (one link upgraded per step, every
-  // scenario re-checked warm) once per engine x pricing-rule combo in
-  // lockstep; every combo's warm path must produce the same verdicts
-  // and objectives at every step.
+  // scenario re-checked) twice in lockstep: warm from the previous
+  // step's basis, as the stateful evaluator does, and cold. Both must
+  // produce the same verdicts and objectives at every step.
   const topo::Topology topology = topo::make_preset('B');
   const int scenarios = topology.num_failures() + 1;
-  struct Combo {
-    SimplexEngine engine;
-    PricingRule rule;
-    std::vector<plan::ScenarioLp> lps;
-  };
-  std::vector<Combo> combos;
-  for (const SimplexEngine engine : kEngines) {
-    for (const PricingRule rule : kRules) {
-      Combo combo{engine, rule, {}};
-      for (int s = 0; s < scenarios; ++s) {
-        combo.lps.push_back(plan::build_scenario_lp(topology, s, true));
-      }
-      combos.push_back(std::move(combo));
-    }
+  std::vector<plan::ScenarioLp> warm_lps, cold_lps;
+  for (int s = 0; s < scenarios; ++s) {
+    warm_lps.push_back(plan::build_scenario_lp(topology, s, true));
+    cold_lps.push_back(plan::build_scenario_lp(topology, s, true));
   }
+  obs::Counter& warm_hits = obs::counter("plan.warm_start_hits");
+  const long hits_before = warm_hits.value();
   Rng rng(test_seed(2));
   std::vector<int> units = topology.initial_units();
   for (int step = 0; step < 25; ++step) {
     const int l = static_cast<int>(rng.uniform_index(topology.num_links()));
     if (topology.spectrum_headroom_units(l, units) > 0) units[l] += 1;
     for (int s = 0; s < scenarios; ++s) {
-      plan::ScenarioCheck reference{};
-      for (std::size_t c = 0; c < combos.size(); ++c) {
-        Combo& combo = combos[c];
-        plan::set_plan_capacities(combo.lps[s], topology, units);
-        const plan::ScenarioCheck got = plan::solve_scenario(
-            combo.lps[s], solver_options(combo.engine, combo.rule), true);
-        if (c == 0) {
-          reference = got;
-          continue;
-        }
-        SCOPED_TRACE(::testing::Message()
-                     << "step " << step << " scenario " << s << " engine "
-                     << to_string(combo.engine) << " rule "
-                     << to_string(combo.rule) << " seed " << test_seed(2));
-        EXPECT_EQ(got.feasible, reference.feasible);
-        expect_objectives_match(got.unserved_gbps, reference.unserved_gbps);
-      }
+      plan::set_plan_capacities(warm_lps[s], topology, units);
+      plan::set_plan_capacities(cold_lps[s], topology, units);
+      const plan::ScenarioCheck warm =
+          plan::solve_scenario(warm_lps[s], solver_options(), true);
+      const plan::ScenarioCheck cold =
+          plan::solve_scenario(cold_lps[s], solver_options(), false);
+      SCOPED_TRACE(::testing::Message() << "step " << step << " scenario " << s
+                                        << " seed " << test_seed(2));
+      EXPECT_EQ(warm.feasible, cold.feasible);
+      expect_objectives_match(warm.unserved_gbps, cold.unserved_gbps);
     }
   }
+  // Every step after the first had a basis to start from.
+  EXPECT_GT(warm_hits.value() - hits_before, 0);
 }
 
-TEST(EngineDifferential, RandomGeneralLpsAgree) {
+TEST(SolverAgreement, RandomGeneralLpsAgree) {
   // Random small LPs with every bound flavor (finite/infinite/fixed,
-  // free variables, equality and range rows). Both engines must agree
-  // on the verdict, and on the objective when optimal.
+  // free variables, equality and range rows), solved cold, then
+  // re-solved warm after one variable bound moves past the optimum (the
+  // branch-and-bound pattern). The warm result must agree with a cold
+  // solve of the changed model: same verdict, and when optimal the
+  // same objective and a point that satisfies the model.
   Rng rng(test_seed(3));
   int optimal = 0;
   for (int trial = 0; trial < 120; ++trial) {
@@ -182,80 +168,128 @@ TEST(EngineDifferential, RandomGeneralLpsAgree) {
         default: m.add_row(mid - half, mid + half, std::move(coeffs)); break;
       }
     }
-    const Solution reference =
-        solve(m, solver_options(SimplexEngine::kSparseLu, kRules[0]));
-    bool all_optimal = reference.status == SolveStatus::kOptimal;
-    for (const SimplexEngine engine : kEngines) {
-      for (const PricingRule rule : kRules) {
-        if (engine == kEngines[0] && rule == kRules[0]) continue;
-        const Solution got = solve(m, solver_options(engine, rule));
-        SCOPED_TRACE(::testing::Message()
-                     << "trial " << trial << " engine " << to_string(engine)
-                     << " rule " << to_string(rule) << " seed "
-                     << test_seed(3));
-        EXPECT_EQ(got.status, reference.status);
-        all_optimal = all_optimal && got.status == SolveStatus::kOptimal;
-        if (got.status == SolveStatus::kOptimal &&
-            reference.status == SolveStatus::kOptimal) {
-          expect_objectives_match(got.objective, reference.objective);
-          EXPECT_LE(m.max_violation(got.x), 1e-6);
-        }
-      }
+    const Solution first = solve(m, solver_options());
+    if (first.status != SolveStatus::kOptimal) continue;
+
+    // Cut the optimum off: move one bound of one variable past its
+    // optimal value (a fixed variable when the bounds would cross).
+    const int j = static_cast<int>(rng.uniform_index(static_cast<std::size_t>(n)));
+    double lo = m.variable(j).lower;
+    double hi = m.variable(j).upper;
+    if (rng.uniform_index(2) == 0) {
+      hi = first.x[j] - 0.5 * rng.uniform();
+      if (hi < lo) hi = lo;
+    } else {
+      lo = first.x[j] + 0.5 * rng.uniform();
+      if (hi < lo) lo = hi;
     }
-    if (all_optimal) ++optimal;
+    m.set_variable_bounds(j, lo, hi);
+
+    const Solution warm = solve(m, solver_options(&first.basis));
+    const Solution cold = solve(m, solver_options());
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << " seed "
+                                      << test_seed(3));
+    EXPECT_EQ(warm.status, cold.status);
+    if (warm.status == SolveStatus::kOptimal &&
+        cold.status == SolveStatus::kOptimal) {
+      expect_objectives_match(warm.objective, cold.objective);
+      EXPECT_LE(m.max_violation(warm.x), 1e-6);
+      ++optimal;
+    }
   }
   EXPECT_GE(optimal, 30);  // the sweep must actually exercise optimal solves
 }
 
 // ---- pricing regressions ----
 
+TEST(Pricing, OnlyColdSolvesUseDevexWeights) {
+  // The rule follows the warm start: a cold solve prices with devex and
+  // resets its weights at least once; warm re-solves price with Dantzig
+  // and keep no weights, whether the basis is still optimal or needs a
+  // dual repair after a capacity change.
+  const topo::Topology topology = topo::make_preset('B');
+  plan::ScenarioLp lp = plan::build_scenario_lp(topology, 0, false);
+  plan::set_plan_capacities(lp, topology, topology.initial_units());
+  obs::Counter& resets = obs::counter("lp.pricing.weight_resets");
+
+  long before = resets.value();
+  const Solution cold = solve(lp.model, solver_options());
+  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
+  EXPECT_GT(cold.iterations, 0);
+  EXPECT_GT(resets.value() - before, 0);
+
+  before = resets.value();
+  const Solution again = solve(lp.model, solver_options(&cold.basis));
+  ASSERT_EQ(again.status, SolveStatus::kOptimal);
+  EXPECT_EQ(again.start_path, StartPath::kWarmPrimal);
+  expect_objectives_match(again.objective, cold.objective);
+  EXPECT_EQ(resets.value() - before, 0);
+
+  std::vector<int> units = topology.initial_units();
+  for (int& u : units) u += 1;
+  plan::set_plan_capacities(lp, topology, units);
+  before = resets.value();
+  const Solution changed = solve(lp.model, solver_options(&cold.basis));
+  ASSERT_EQ(changed.status, SolveStatus::kOptimal);
+  EXPECT_NE(changed.start_path, StartPath::kCold);
+  EXPECT_EQ(resets.value() - before, 0);
+}
+
 /// A degenerate LP: rows x_a + x_b <= 0 with x >= 0 pin every variable
 /// to zero while profitable-looking reduced costs (cost -1) keep
 /// tempting entering candidates whose ratio test allows no movement.
 /// Regression for the partial-pricing fall-through: the solver must
-/// still terminate at the (all-zero) optimum, and must do so with the
-/// candidate list forced on (threshold below the column count).
+/// still terminate at the (all-zero) optimum with the candidate list
+/// on. 80 variables and 40 rows make 160 columns with slacks and
+/// artificials, past the 128-column partial-pricing threshold. The
+/// cold solve prices with devex; the warm one starts from the all-slack
+/// basis (the crash basis) and prices with Dantzig.
 TEST(Pricing, DegenerateLpTerminatesUnderPartialPricing) {
-  for (const SimplexEngine engine : kEngines) {
-    for (const PricingRule rule : kRules) {
-      Model m;
-      const int n = 40;
-      for (int j = 0; j < n; ++j) m.add_variable(0.0, kInfinity, -1.0);
-      for (int j = 0; j + 1 < n; j += 2) {
-        m.add_row(-kInfinity, 0.0, {{j, 1.0}, {j + 1, 1.0}});
-      }
-      SimplexOptions options = solver_options(engine, rule);
-      options.partial_pricing_threshold = 8;  // force the candidate list
-      options.max_iterations = 10000;         // termination, not a time out
-      const Solution solution = solve(m, options);
-      SCOPED_TRACE(::testing::Message() << "engine " << to_string(engine)
-                                        << " rule " << to_string(rule));
-      ASSERT_EQ(solution.status, SolveStatus::kOptimal);
-      EXPECT_NEAR(solution.objective, 0.0, 1e-9);
-    }
+  Model m;
+  const int n = 80;
+  for (int j = 0; j < n; ++j) m.add_variable(0.0, kInfinity, -1.0);
+  for (int j = 0; j + 1 < n; j += 2) {
+    m.add_row(-kInfinity, 0.0, {{j, 1.0}, {j + 1, 1.0}});
+  }
+  Basis slack_basis;
+  slack_basis.statuses.assign(n, VarStatus::kAtLower);
+  slack_basis.statuses.resize(n + m.num_rows(), VarStatus::kBasic);
+  const Basis* const starts[] = {nullptr, &slack_basis};
+  for (const Basis* warm : starts) {
+    SimplexOptions options = solver_options(warm);
+    options.max_iterations = 10000;  // termination, not a time out
+    const Solution solution = solve(m, options);
+    SCOPED_TRACE(warm == nullptr ? "cold" : "warm");
+    ASSERT_EQ(solution.status, SolveStatus::kOptimal);
+    EXPECT_NEAR(solution.objective, 0.0, 1e-9);
   }
 }
 
-/// Frequent refactorization exercises the devex reset-to-reference and
-/// the steepest-edge weight audit (NP_CHECK contracts in debug builds:
-/// devex weights >= 1, steepest-edge weights equal to the true norm).
-/// In release builds this still pins down verdict/objective stability
-/// under a pathological refactor cadence.
+/// A cold solve long enough to refactorize mid-solve exercises the
+/// devex reset-to-reference and its weight contract (checks-on builds:
+/// devex weights >= 1). A solve that never refactorizes mid-solve makes
+/// at most three factorizations: the crash basis and one fresh one per
+/// phase terminal. In release builds this still pins down the verdict
+/// against the warm path.
 TEST(Pricing, WeightInvariantsHoldUnderFrequentRefactorization) {
-  const topo::Topology topology = topo::make_preset('B');
+  const topo::Topology topology = topo::make_preset('D');
   plan::ScenarioLp lp = plan::build_scenario_lp(topology, 0, false);
   plan::set_plan_capacities(lp, topology, topology.initial_units());
-  const Solution reference =
-      solve(lp.model, solver_options(SimplexEngine::kSparseLu));
-  ASSERT_EQ(reference.status, SolveStatus::kOptimal);
-  for (const PricingRule rule : kRules) {
-    SimplexOptions options = solver_options(SimplexEngine::kSparseLu, rule);
-    options.refactor_interval = 8;
-    const Solution got = solve(lp.model, options);
-    SCOPED_TRACE(::testing::Message() << "rule " << to_string(rule));
-    ASSERT_EQ(got.status, SolveStatus::kOptimal);
-    expect_objectives_match(got.objective, reference.objective);
-  }
+  obs::Counter& refactorizations = obs::counter("lp.refactorizations");
+  const long before = refactorizations.value();
+  const Solution cold = solve(lp.model, solver_options());
+  const long factorized = refactorizations.value() - before;
+  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
+  EXPECT_GT(factorized, 3) << cold.iterations << " iterations";
+
+  std::vector<int> units = topology.initial_units();
+  for (int& u : units) u += 1;
+  plan::set_plan_capacities(lp, topology, units);
+  const Solution warm = solve(lp.model, solver_options(&cold.basis));
+  const Solution recold = solve(lp.model, solver_options());
+  ASSERT_EQ(warm.status, SolveStatus::kOptimal);
+  ASSERT_EQ(recold.status, SolveStatus::kOptimal);
+  expect_objectives_match(warm.objective, recold.objective);
 }
 
 // ---- BasisFactor properties ----
@@ -426,6 +460,148 @@ TEST(BasisFactorProperty, StatsReflectFactorizationAndEtas) {
   ASSERT_TRUE(factor.factorize(m, views_of(columns)));
   EXPECT_EQ(factor.stats().factorizations, factorizations + 1);
   EXPECT_EQ(factor.stats().eta_entries, 0);
+}
+
+// ---- BasisFactor vs the dense reference inverse ----
+
+/// Entries of `got` within 1e-9 of `want`, relative to want's largest
+/// magnitude (at least 1).
+void expect_vectors_match(const std::vector<double>& got,
+                          const std::vector<double>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  double scale = 1.0;
+  for (const double v : want) scale = std::max(scale, std::abs(v));
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_NEAR(got[i], want[i], 1e-9 * scale) << what << " entry " << i;
+  }
+}
+
+std::vector<double> random_dense(int m, Rng& rng) {
+  std::vector<double> x(m);
+  for (double& v : x) v = -1.0 + 2.0 * rng.uniform();
+  return x;
+}
+
+/// ftran_column on `probe`, ftran and btran on random right-hand sides,
+/// and btran_unit at every position, each against the reference.
+void expect_factor_matches_reference(const BasisFactor& factor,
+                                     const ref::DenseBasisInverse& reference,
+                                     int m, const SparseColumn& probe,
+                                     Rng& rng) {
+  std::vector<double> got, want;
+  factor.ftran_column(probe, got);
+  reference.ftran_column(probe, want);
+  expect_vectors_match(got, want, "ftran_column");
+
+  got = want = random_dense(m, rng);
+  factor.ftran(got);
+  reference.ftran(want);
+  expect_vectors_match(got, want, "ftran");
+
+  got = want = random_dense(m, rng);
+  factor.btran(got);
+  reference.btran(want);
+  expect_vectors_match(got, want, "btran");
+
+  for (int p = 0; p < m; ++p) {
+    factor.btran_unit(p, got);
+    reference.btran_unit(p, want);
+    expect_vectors_match(got, want, "btran_unit");
+  }
+}
+
+/// Factorize `columns` in both, compare, then run `exchanges` basis
+/// exchanges with entering columns drawn from `candidates` (the
+/// position of the largest FTRAN entry leaves, as a ratio test with a
+/// well-conditioned pivot would pick), comparing after every eta.
+void check_against_reference(std::vector<SparseColumn> columns,
+                             const std::vector<SparseColumn>& candidates,
+                             int exchanges, Rng& rng) {
+  const int m = static_cast<int>(columns.size());
+  BasisFactor factor;
+  ref::DenseBasisInverse reference;
+  ASSERT_TRUE(factor.factorize(m, views_of(columns)));
+  ASSERT_TRUE(reference.factorize(m, views_of(columns)));
+  expect_factor_matches_reference(factor, reference, m, candidates.front(), rng);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  int done = 0;
+  for (int attempt = 0; done < exchanges && attempt < 20 * exchanges; ++attempt) {
+    const SparseColumn& entering =
+        candidates[rng.uniform_index(candidates.size())];
+    std::vector<double> w, w_ref;
+    factor.ftran_column(entering, w);
+    int p = 0;
+    for (int i = 1; i < m; ++i) {
+      if (std::abs(w[i]) > std::abs(w[p])) p = i;
+    }
+    if (std::abs(w[p]) < 1e-2) continue;
+    reference.ftran_column(entering, w_ref);
+    factor.append_eta(p, w);
+    reference.append_eta(p, w_ref);
+    columns[p] = entering;
+    ++done;
+    SCOPED_TRACE(::testing::Message() << "after eta " << done);
+    expect_factor_matches_reference(
+        factor, reference, m, candidates[rng.uniform_index(candidates.size())],
+        rng);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(done, exchanges);
+}
+
+TEST(BasisFactorReference, RandomBasesMatchDenseInverse) {
+  for (const int m : {1, 4, 17, 60}) {
+    Rng rng(test_seed(7) + m);
+    SCOPED_TRACE(::testing::Message() << "m " << m << " seed " << test_seed(7));
+    std::vector<SparseColumn> candidates;
+    for (int k = 0; k < 3 * m; ++k) {
+      SparseColumn a = random_rhs(m, rng);
+      a.push_back({static_cast<int>(rng.uniform_index(m)), 3.0 + rng.uniform()});
+      candidates.push_back(std::move(a));
+    }
+    check_against_reference(random_basis(m, rng), candidates, 40, rng);
+  }
+}
+
+/// Columns of a model's computational form: structurals, then one
+/// slack per row (coefficient -1, as the simplex builds them).
+std::vector<SparseColumn> computational_columns(const Model& model) {
+  std::vector<SparseColumn> columns(model.num_variables() + model.num_rows());
+  for (int r = 0; r < model.num_rows(); ++r) {
+    for (const auto& [var, coeff] : model.row(r).coefficients) {
+      if (coeff != 0.0) columns[var].push_back({r, coeff});
+    }
+    columns[model.num_variables() + r].push_back({r, -1.0});
+  }
+  return columns;
+}
+
+TEST(BasisFactorReference, ScenarioLpBasesMatchDenseInverse) {
+  // The optimal bases the evaluators warm-start from: every scenario LP
+  // of topology B, both formulations, at its initial capacities.
+  const topo::Topology topology = topo::make_preset('B');
+  Rng rng(test_seed(8));
+  for (const bool aggregate : {true, false}) {
+    for (int scenario = 0; scenario <= topology.num_failures(); ++scenario) {
+      plan::ScenarioLp lp = plan::build_scenario_lp(topology, scenario, aggregate);
+      plan::set_plan_capacities(lp, topology, topology.initial_units());
+      const Solution solved = solve(lp.model, solver_options());
+      ASSERT_EQ(solved.status, SolveStatus::kOptimal);
+      const std::vector<SparseColumn> all = computational_columns(lp.model);
+      std::vector<SparseColumn> basic, nonbasic;
+      for (std::size_t j = 0; j < all.size(); ++j) {
+        (solved.basis.statuses[j] == VarStatus::kBasic ? basic : nonbasic)
+            .push_back(all[j]);
+      }
+      SCOPED_TRACE(::testing::Message()
+                   << (aggregate ? "aggregated" : "per-flow") << " scenario "
+                   << scenario << " seed " << test_seed(8));
+      ASSERT_EQ(static_cast<int>(basic.size()), lp.model.num_rows());
+      check_against_reference(std::move(basic), nonbasic, 12, rng);
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 }  // namespace
