@@ -165,6 +165,17 @@ LazySolveResult lazy_solve(const topo::Topology& topology,
     result.lp_iterations += solved.lp_iterations;
 
     if (!solved.has_incumbent) {
+      // The round's MILP relaxes the full problem, so an infeasible one
+      // proves that no plan within the bounds and the cost cutoff
+      // survives every scenario. With the best plan at or under the
+      // cutoff, nothing within the bounds is cheaper than it (the best
+      // plan itself may lie outside them, as a coarse seed can).
+      if (solved.status == milp::MilpStatus::kInfeasible && have_best &&
+          (base.max_total_cost <= 0.0 || best_cost <= base.max_total_cost)) {
+        return finish(false, "lazy: kept the best known plan; round " +
+                                 std::to_string(result.rounds) +
+                                 " proved no cheaper plan within the bounds");
+      }
       const bool timed_out = solved.status == milp::MilpStatus::kTimeLimit ||
                              solved.status == milp::MilpStatus::kNodeLimit;
       return finish(timed_out,

@@ -101,8 +101,10 @@ PlanResult second_stage(const topo::Topology& topology,
   lazy.total_time_limit_seconds = 0.3 * time_limit_seconds;
   lazy.time_limit_per_solve_seconds = std::max(15.0, 0.3 * time_limit_seconds / 4.0);
   lazy.relative_gap = relative_gap;
-  // The seed plan is feasible for every scenario subset and lies inside
-  // the alpha bounds: a guaranteed incumbent for every round. The
+  // The seed plan is feasible for every scenario subset, but it lies
+  // inside the alpha bounds only when it is the first-stage plan: the
+  // coarse pass rounds each bound up to a multiple of 4 units, so its
+  // plan can leave them, and then a round may find no incumbent. The
   // binding scenarios the coarse pass discovered carry over.
   lazy.seed_added_units = best_seed;
   lazy.initial_scenario_set = binding_failures;

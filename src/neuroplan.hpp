@@ -21,7 +21,6 @@
 // Plan evaluation and the planning MILP formulation.
 #include "plan/evaluator.hpp"
 #include "plan/formulation.hpp"
-#include "plan/parallel_evaluator.hpp"
 #include "plan/report.hpp"
 
 // Solvers (Gurobi's role in the paper).

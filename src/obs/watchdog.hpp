@@ -3,7 +3,7 @@
 // whose heartbeat stops advancing.
 //
 //   void worker_body() {
-//     obs::HeartbeatScope hb("hb.plan_worker");
+//     obs::HeartbeatScope hb("hb.rollout_step");
 //     for (...) { hb.beat(done); ... }
 //   }  // scope exit restores the enclosing heartbeat (if any)
 //
@@ -11,10 +11,9 @@
 // active HeartbeatScope are monitored, so blocking on a queue or a
 // condition variable (idle pool workers) never trips the watchdog —
 // scopes wrap the sections that are supposed to make progress (rollout
-// step loops, parallel-evaluator scenario loops, simplex iteration
-// loops, the epoch loop). Scopes nest: the innermost wins, and scope
-// exit re-stamps the outer scope's timestamp so it does not inherit
-// the inner section's elapsed time.
+// step loops, simplex iteration loops, serving query workers). Scopes
+// nest: the innermost wins, and scope exit re-stamps the outer scope's
+// timestamp so it does not inherit the inner section's elapsed time.
 //
 // On a stall the monitor records a kStall flight-recorder event
 // carrying the stuck thread's heartbeat name and progress, logs the

@@ -1,8 +1,9 @@
 // Plan evaluator (Figure 3 / §5 of the paper).
 //
 // Checks whether a capacity plan satisfies the traffic demand under the
-// reliability policy across all failure scenarios, in one of three
-// implementations matching the paper's Figure 7 comparison:
+// reliability policy across all failure scenarios, in one of four
+// implementations: the first three match the paper's Figure 7
+// comparison, the fourth serves arbitrary queries.
 //
 //  * kVanilla            — per-flow commodities, every scenario LP is
 //                          rebuilt from scratch on every check.
@@ -82,9 +83,7 @@ struct CheckResult {
   int quarantined_skipped = 0;
   int scenarios_checked = 0;
   long lp_iterations = 0;
-  /// Seconds spent inside lp::solve for this check. Sequential
-  /// evaluators report wall-clock; the parallel evaluator sums across
-  /// worker threads (CPU-seconds of LP work, not elapsed time).
+  /// Wall-clock seconds spent inside lp::solve for this check.
   double lp_seconds = 0.0;
 };
 

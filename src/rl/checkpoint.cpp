@@ -14,7 +14,7 @@
 // loader with a clean std::runtime_error.
 //
 // Concurrency model: save/load run on the trainer thread between
-// epochs, when no rollout worker or evaluator task is in flight, so
+// epochs, when no rollout worker is in flight, so
 // this file is single-threaded by contract and holds no locks.
 #include <algorithm>
 #include <array>
@@ -107,8 +107,8 @@ void read_matrix_line(std::istream& in, const char* tag, la::Matrix& m) {
 /// checkpoint resumed under a different one of these would silently
 /// diverge from the uninterrupted run, so the loader rejects it.
 /// Deliberately absent: epochs / patience (extending a run is legal),
-/// chunk_steps, evaluator threading and scenario budgets (they change
-/// wall-clock or memory, not results), checkpoint settings themselves.
+/// chunk_steps (it bounds tape memory, not results), checkpoint
+/// settings themselves.
 std::uint64_t config_fingerprint(const TrainConfig& config) {
   std::ostringstream canon;
   canon << config.seed << ' ' << config.steps_per_epoch << ' '

@@ -7,10 +7,23 @@
 
 namespace np::rl {
 
+namespace {
+
+/// Wall-clock budget per scenario solve. A scenario that exhausts it
+/// reports Verdict::kUnknown and the env degrades conservatively: the
+/// plan counts as not-yet-feasible and the episode keeps adding
+/// capacity. It bounds a single pathological LP without ever firing on
+/// the paper-scale topologies, whose scenario solves run in
+/// milliseconds.
+constexpr double kScenarioTimeLimitSeconds = 60.0;
+
+}  // namespace
+
 PlanningEnv::PlanningEnv(const topo::Topology& topology, const EnvConfig& config)
     : topology_(topology),
       config_(config),
       transform_(topo::node_link_transform(topology)),
+      evaluator_(topology, plan::EvaluatorMode::kStateful),
       initial_units_(topology.initial_units()) {
   if (config.max_units_per_step < 1) {
     throw std::invalid_argument("PlanningEnv: max_units_per_step must be >= 1");
@@ -18,18 +31,7 @@ PlanningEnv::PlanningEnv(const topo::Topology& topology, const EnvConfig& config
   if (config.max_trajectory_steps < 1) {
     throw std::invalid_argument("PlanningEnv: max_trajectory_steps must be >= 1");
   }
-  if (config.evaluator_threads < 1) {
-    throw std::invalid_argument("PlanningEnv: evaluator_threads must be >= 1");
-  }
-  if (config.evaluator_threads > 1) {
-    parallel_evaluator_ = std::make_unique<plan::ParallelPlanEvaluator>(
-        topology, config.evaluator_threads);
-    parallel_evaluator_->set_scenario_budget(config.scenario_time_limit_seconds);
-  } else {
-    sequential_evaluator_ =
-        std::make_unique<plan::PlanEvaluator>(topology, config.evaluator_mode);
-    sequential_evaluator_->set_scenario_budget(config.scenario_time_limit_seconds);
-  }
+  evaluator_.set_scenario_budget(kScenarioTimeLimitSeconds);
   // Reward scale: the most expensive possible single step, so each
   // intermediate reward lands in [-1, 0] (§4.2 "reward representation").
   double max_unit_cost = 0.0;
@@ -44,11 +46,7 @@ void PlanningEnv::reset() {
   units_ = initial_units_;
   steps_ = 0;
   done_ = false;
-  if (parallel_evaluator_) {
-    parallel_evaluator_->reset();
-  } else {
-    sequential_evaluator_->reset();
-  }
+  evaluator_.reset();
 }
 
 la::Matrix PlanningEnv::features() const {
@@ -112,10 +110,7 @@ StepResult PlanningEnv::step(int flat_action) {
   StepResult result;
   result.reward = -(add * topology_.link_unit_cost(link)) / reward_scale_;
 
-  const plan::CheckResult check = parallel_evaluator_
-                                      ? parallel_evaluator_->check(units_)
-                                      : sequential_evaluator_->check(units_);
-  if (check.feasible) {
+  if (evaluator_.check(units_).feasible) {
     result.done = true;
     result.feasible = true;
   } else if (steps_ >= config_.max_trajectory_steps || !has_valid_action()) {

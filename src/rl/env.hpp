@@ -22,7 +22,6 @@
 #include "la/sparse.hpp"
 #include "nn/actor_critic.hpp"
 #include "plan/evaluator.hpp"
-#include "plan/parallel_evaluator.hpp"
 #include "topo/topology.hpp"
 #include "topo/transform.hpp"
 
@@ -32,17 +31,6 @@ struct EnvConfig {
   int max_units_per_step = 4;      ///< m (Fig. 12 sweeps {1, 4, 16})
   int max_trajectory_steps = 1024; ///< Table 2 "max length per trajectory"
   bool include_static_features = true;
-  plan::EvaluatorMode evaluator_mode = plan::EvaluatorMode::kStateful;
-  /// > 1 checks failure scenarios with a ParallelPlanEvaluator (grouped
-  /// scenarios, §5); 1 keeps the sequential evaluator_mode evaluator.
-  int evaluator_threads = 1;
-  /// Wall-clock budget per scenario solve (seconds); <= 0 = unlimited.
-  /// A scenario that exhausts its budget reports Verdict::kUnknown and
-  /// the env degrades conservatively: the plan counts as not-yet-
-  /// feasible and the episode keeps adding capacity. The default bounds
-  /// a single pathological LP without ever firing on the paper-scale
-  /// topologies (whose scenario solves run in milliseconds).
-  double scenario_time_limit_seconds = 60.0;
 };
 
 struct StepResult {
@@ -103,25 +91,18 @@ class PlanningEnv {
   /// Scale that maps one step's cost into [0, 1] for the reward.
   double reward_scale() const { return reward_scale_; }
   /// Cumulative evaluator LP iterations (efficiency accounting, Fig. 7).
-  long evaluator_lp_iterations() const {
-    return parallel_evaluator_ ? parallel_evaluator_->total_lp_iterations()
-                               : sequential_evaluator_->total_lp_iterations();
-  }
+  long evaluator_lp_iterations() const { return evaluator_.total_lp_iterations(); }
 
-  /// Cumulative seconds inside lp::solve (CPU-seconds when the parallel
-  /// evaluator is active — see ParallelPlanEvaluator::total_lp_seconds).
-  double evaluator_lp_seconds() const {
-    return parallel_evaluator_ ? parallel_evaluator_->total_lp_seconds()
-                               : sequential_evaluator_->total_lp_seconds();
-  }
+  /// Cumulative seconds inside lp::solve.
+  double evaluator_lp_seconds() const { return evaluator_.total_lp_seconds(); }
 
  private:
   const topo::Topology& topology_;
   EnvConfig config_;
   topo::TransformedGraph transform_;
-  /// Exactly one of these is set, per EnvConfig::evaluator_threads.
-  std::unique_ptr<plan::PlanEvaluator> sequential_evaluator_;
-  std::unique_ptr<plan::ParallelPlanEvaluator> parallel_evaluator_;
+  /// Stateful checking (§5): the env only adds capacity within a
+  /// trajectory, so survived scenarios are skipped until reset().
+  plan::PlanEvaluator evaluator_;
   std::vector<int> units_;
   std::vector<int> initial_units_;
   int steps_ = 0;

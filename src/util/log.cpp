@@ -12,8 +12,8 @@ namespace {
 // whether a concurrent message is dropped, never corrupts anything.
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
 
-// Serializes whole lines: worker threads (RolloutWorkers,
-// ParallelPlanEvaluator) log concurrently, and a single fprintf is not
+// Serializes whole lines: worker threads (RolloutWorkers, serving
+// engine workers) log concurrently, and a single fprintf is not
 // guaranteed atomic with respect to other writers of the same stream.
 // (No NP_GUARDED_BY: the guarded resource is the stderr stream, not a
 // member the analysis can name.)

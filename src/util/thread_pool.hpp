@@ -1,7 +1,7 @@
 // Fixed-size worker-thread pool shared by the parallel subsystems
-// (plan::ParallelPlanEvaluator scenario groups, rl::RolloutWorkers
-// acting loops). Tasks are plain std::function<void()>; submit() hands back
-// a future whose get() rethrows the task's exception.
+// (rl::RolloutWorkers acting loops, serve::Engine query workers).
+// Tasks are plain std::function<void()>; submit() hands back a future
+// whose get() rethrows the task's exception.
 //
 // A pool of 0 workers is valid and runs everything inline on the
 // calling thread — callers size the pool with "participants - 1" and

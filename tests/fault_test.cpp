@@ -1,14 +1,13 @@
 // Fault-injection harness: trigger arithmetic is exercised in every
 // build; the throw-site integration tests (LP refactorization,
-// checkpoint I/O, evaluator workers, rollout steps) require a build
-// with NEUROPLAN_FAULTS=ON and skip elsewhere.
+// checkpoint I/O, rollout steps) require a build with
+// NEUROPLAN_FAULTS=ON and skip elsewhere.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
 
 #include "ad/snapshot.hpp"
-#include "plan/parallel_evaluator.hpp"
 #include "plan/scenario_lp.hpp"
 #include "rl/trainer.hpp"
 #include "temp_path.hpp"
@@ -185,24 +184,6 @@ TEST_F(FaultTest, LpRefactorFaultPropagatesFromSolve) {
   // The model is still usable once the fault clears.
   plan::ScenarioCheck check = plan::solve_scenario(lp, {}, false);
   EXPECT_GE(check.lp_iterations, 0);
-}
-
-TEST_F(FaultTest, ParallelEvaluatorWorkerFaultPropagatesAndPoolSurvives) {
-  if (!NP_FAULTS_ENABLED) GTEST_SKIP() << "built without NEUROPLAN_FAULTS";
-  const topo::Topology t = topo::make_preset('A');
-  plan::ParallelPlanEvaluator eval(t, 3);
-  const std::vector<int> plan_units(static_cast<std::size_t>(t.num_links()), 1);
-  FaultInjector::instance().arm("plan.worker", FaultSpec{0.0, 1});
-  EXPECT_THROW(eval.check(plan_units), InjectedFault);
-  FaultInjector::instance().disarm_all();
-  // Exception safety contract: the pool drained, the evaluator works.
-  const plan::CheckResult after = eval.check(plan_units);
-  EXPECT_EQ(after.scenarios_checked, eval.num_scenarios());
-  // And a second faulted round still cancels cleanly.
-  FaultInjector::instance().arm("plan.worker", FaultSpec{0.0, 2});
-  EXPECT_THROW(eval.check(plan_units), InjectedFault);
-  FaultInjector::instance().disarm_all();
-  EXPECT_EQ(eval.check(plan_units).scenarios_checked, eval.num_scenarios());
 }
 
 TEST_F(FaultTest, RolloutStepFaultAbortsEpochAndTrainerRecovers) {

@@ -1,5 +1,5 @@
-// Tests for the §5/§3.2 extensions: parallel failure checking, region
-// decomposition, and parameter checkpoints.
+// Tests for the §3.2 extensions: region decomposition and parameter
+// checkpoints.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -8,69 +8,12 @@
 #include "core/baselines.hpp"
 #include "core/decomposition.hpp"
 #include "nn/actor_critic.hpp"
-#include "plan/evaluator.hpp"
-#include "plan/parallel_evaluator.hpp"
 #include "temp_path.hpp"
 #include "topo/generator.hpp"
 #include "util/rng.hpp"
 
 namespace np {
 namespace {
-
-// ---- parallel failure checking ----
-
-TEST(ParallelEvaluator, AgreesWithSequentialVerdicts) {
-  topo::Topology t = topo::make_preset('B');
-  plan::ParallelPlanEvaluator parallel(t, 4);
-  plan::PlanEvaluator sequential(t, plan::EvaluatorMode::kSourceAggregation);
-  Rng rng(3);
-  std::vector<int> units = t.initial_units();
-  for (int step = 0; step < 5; ++step) {
-    const plan::CheckResult p = parallel.check(units);
-    const plan::CheckResult s = sequential.check(units);
-    EXPECT_EQ(p.feasible, s.feasible) << "step " << step;
-    if (!p.feasible) {
-      EXPECT_EQ(p.violated_scenario, s.violated_scenario);
-    }
-    const int link = static_cast<int>(rng.uniform_index(t.num_links()));
-    units[link] = std::min(units[link] + 3, t.link_max_units(link));
-  }
-}
-
-TEST(ParallelEvaluator, SingleThreadDegradesGracefully) {
-  topo::Topology t = topo::make_preset('A');
-  plan::ParallelPlanEvaluator eval(t, 1);
-  EXPECT_EQ(eval.threads(), 1);
-  std::vector<int> saturated(t.num_links());
-  for (int l = 0; l < t.num_links(); ++l) saturated[l] = t.link_max_units(l);
-  EXPECT_TRUE(eval.check(saturated).feasible);
-}
-
-TEST(ParallelEvaluator, ThreadCountCappedByScenarios) {
-  topo::Topology t = topo::make_preset('A');
-  plan::ParallelPlanEvaluator eval(t, 1000);
-  EXPECT_LE(eval.threads(), eval.num_scenarios());
-}
-
-TEST(ParallelEvaluator, ValidatesInputs) {
-  topo::Topology t = topo::make_preset('A');
-  EXPECT_THROW(plan::ParallelPlanEvaluator(t, 0), std::invalid_argument);
-  plan::ParallelPlanEvaluator eval(t, 2);
-  EXPECT_THROW(eval.check({1}), std::invalid_argument);
-  std::vector<int> bad(t.num_links(), -1);
-  EXPECT_THROW(eval.check(bad), std::invalid_argument);
-}
-
-TEST(ParallelEvaluator, ReportsSmallestViolatedScenario) {
-  topo::Topology t = topo::make_preset('A');
-  plan::ParallelPlanEvaluator parallel(t, 3);
-  plan::PlanEvaluator sequential(t, plan::EvaluatorMode::kSourceAggregation);
-  const std::vector<int> zeros(t.num_links(), 0);
-  const plan::CheckResult p = parallel.check(zeros);
-  const plan::CheckResult s = sequential.check(zeros);
-  ASSERT_FALSE(p.feasible);
-  EXPECT_EQ(p.violated_scenario, s.violated_scenario);
-}
 
 // ---- region decomposition ----
 

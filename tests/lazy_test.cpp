@@ -1,6 +1,8 @@
 // Lazy scenario generation and shortest-path routing tests.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/baselines.hpp"
 #include "core/lazy_solve.hpp"
 #include "plan/evaluator.hpp"
@@ -56,6 +58,40 @@ TEST(LazySolve, RejectsBadSeedSize) {
   config.seed_added_units = {1, 2, 3};
   EXPECT_THROW(lazy_solve(t, plan::FormulationOptions{}, config),
                std::invalid_argument);
+}
+
+TEST(LazySolve, InfeasibleRoundReportsKeptSeedAsProvedCheapest) {
+  // A seed outside the bounds (no capacity may be added) with the cost
+  // cutoff at the seed's cost: round 1's MILP is infeasible, which
+  // proves that nothing within the bounds is cheaper than the seed.
+  const topo::Topology t = topo::make_preset('A', 7);
+  const PlanResult greedy = solve_greedy(t);
+  ASSERT_TRUE(greedy.feasible);
+  plan::FormulationOptions bounds;
+  bounds.max_added_units.assign(static_cast<std::size_t>(t.num_links()), 0);
+  bounds.max_total_cost = greedy.cost;
+  LazySolveConfig config;
+  config.seed_added_units = greedy.added_units;
+  const LazySolveResult kept = lazy_solve(t, bounds, config);
+  ASSERT_TRUE(kept.plan.feasible) << kept.plan.detail;
+  EXPECT_FALSE(kept.plan.timed_out);
+  EXPECT_EQ(kept.rounds, 1);
+  EXPECT_EQ(kept.plan.added_units, greedy.added_units);
+  EXPECT_DOUBLE_EQ(kept.plan.cost, greedy.cost);
+  const std::string& detail = kept.plan.detail;
+  EXPECT_NE(detail.find("proved no cheaper plan"), std::string::npos) << detail;
+  EXPECT_EQ(detail.find("no incumbent"), std::string::npos) << detail;
+  // perfbench's stage-2 check reads "limit" as a stop on a limit, and
+  // its round count parses the number after "after ".
+  EXPECT_EQ(detail.find("limit"), std::string::npos) << detail;
+  EXPECT_EQ(detail.find("after "), std::string::npos) << detail;
+
+  // Under a cutoff below the seed's cost the same proof says nothing
+  // about the seed, so the detail claims nothing either.
+  bounds.max_total_cost = 0.5 * greedy.cost;
+  const LazySolveResult cut = lazy_solve(t, bounds, config);
+  ASSERT_TRUE(cut.plan.feasible) << cut.plan.detail;
+  EXPECT_EQ(cut.plan.detail.find("proved"), std::string::npos) << cut.plan.detail;
 }
 
 TEST(LazySolve, HonorsTotalTimeLimit) {

@@ -1,4 +1,4 @@
-// Plan evaluator (three modes) and planning-MILP formulation tests,
+// Plan evaluator (four modes) and planning-MILP formulation tests,
 // including cross-mode agreement properties and end-to-end solves on
 // the Figure 1 example and generator presets.
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include "milp/branch_and_bound.hpp"
 #include "plan/evaluator.hpp"
 #include "plan/formulation.hpp"
-#include "plan/parallel_evaluator.hpp"
 #include "plan/scenario_lp.hpp"
 #include "topo/generator.hpp"
 #include "util/deadline.hpp"
@@ -110,7 +109,8 @@ TEST(Evaluator, Figure1Semantics) {
   topo::Topology t = figure1();
   for (EvaluatorMode mode : {EvaluatorMode::kVanilla,
                              EvaluatorMode::kSourceAggregation,
-                             EvaluatorMode::kStateful}) {
+                             EvaluatorMode::kStateful,
+                             EvaluatorMode::kWarmPatched}) {
     PlanEvaluator eval(t, mode);
     EXPECT_EQ(eval.num_scenarios(), 3);
     // Both links at 1 unit (100G): feasible under both failures.
@@ -161,9 +161,10 @@ TEST(Evaluator, ModeToString) {
   EXPECT_STREQ(to_string(EvaluatorMode::kVanilla), "vanilla");
   EXPECT_STREQ(to_string(EvaluatorMode::kSourceAggregation), "source-aggregation");
   EXPECT_STREQ(to_string(EvaluatorMode::kStateful), "stateful");
+  EXPECT_STREQ(to_string(EvaluatorMode::kWarmPatched), "warm-patched");
 }
 
-// Property: the three modes agree on feasibility verdicts for random
+// Property: the four modes agree on feasibility verdicts for random
 // monotone plan sequences on generator presets.
 class ModeAgreement : public ::testing::TestWithParam<unsigned> {};
 
@@ -172,17 +173,21 @@ TEST_P(ModeAgreement, VerdictsAgreeAcrossModes) {
   PlanEvaluator vanilla(t, EvaluatorMode::kVanilla);
   PlanEvaluator sa(t, EvaluatorMode::kSourceAggregation);
   PlanEvaluator stateful(t, EvaluatorMode::kStateful);
+  PlanEvaluator warm(t, EvaluatorMode::kWarmPatched);
   Rng rng(GetParam() * 31 + 5);
   std::vector<int> units = t.initial_units();
   for (int step = 0; step < 6; ++step) {
     const CheckResult v = vanilla.check(units);
     const CheckResult s = sa.check(units);
     const CheckResult st = stateful.check(units);
+    const CheckResult w = warm.check(units);
     EXPECT_EQ(v.feasible, s.feasible) << "step " << step;
     EXPECT_EQ(s.feasible, st.feasible) << "step " << step;
+    EXPECT_EQ(s.feasible, w.feasible) << "step " << step;
     if (!v.feasible) {
       EXPECT_EQ(v.violated_scenario, s.violated_scenario);
       EXPECT_EQ(s.violated_scenario, st.violated_scenario);
+      EXPECT_EQ(s.violated_scenario, w.violated_scenario);
     }
     // Monotone growth keeps the stateful assumption valid.
     const int link = static_cast<int>(rng.uniform_index(t.num_links()));
@@ -372,13 +377,14 @@ TEST(Formulation, SourceAggregationPreservesOptimum) {
             PlanningMilp(t, per_flow).model().num_variables());
 }
 
-TEST(ParallelEvaluator, MatchesSequentialVerdictsOnRandomPlans) {
+// The serving contract: random, non-monotone plans against resident
+// warm-started models get the verdicts of fresh models.
+TEST(Evaluator, WarmPatchedMatchesSourceAggregationOnRandomPlans) {
   topo::Topology t = topo::make_preset('A');
-  // Sequential reference checks every scenario from scratch each call
-  // (kSourceAggregation has no stateful skipping), so both evaluators
-  // see identical scenario LPs.
-  PlanEvaluator sequential(t, EvaluatorMode::kSourceAggregation);
-  ParallelPlanEvaluator parallel(t, 3);
+  // The reference rebuilds every scenario LP on each call, so its
+  // verdicts carry no state from earlier plans.
+  PlanEvaluator fresh(t, EvaluatorMode::kSourceAggregation);
+  PlanEvaluator warm(t, EvaluatorMode::kWarmPatched);
   // Find a uniform per-link addition that makes the plan feasible so
   // the random trials straddle the feasibility boundary.
   const std::vector<int> initial = t.initial_units();
@@ -386,7 +392,7 @@ TEST(ParallelEvaluator, MatchesSequentialVerdictsOnRandomPlans) {
   for (; scale <= 64; ++scale) {
     std::vector<int> units = initial;
     for (auto& u : units) u += scale;
-    if (sequential.check(units).feasible) break;
+    if (fresh.check(units).feasible) break;
   }
   ASSERT_LE(scale, 64) << "preset A should be plannable";
   Rng rng(71);
@@ -400,8 +406,8 @@ TEST(ParallelEvaluator, MatchesSequentialVerdictsOnRandomPlans) {
     } else {
       for (auto& u : units) u += static_cast<int>(rng.uniform_int(0, scale + 2));
     }
-    const CheckResult want = sequential.check(units);
-    const CheckResult got = parallel.check(units);
+    const CheckResult want = fresh.check(units);
+    const CheckResult got = warm.check(units);
     EXPECT_EQ(got.feasible, want.feasible) << "trial " << trial;
     EXPECT_EQ(got.violated_scenario, want.violated_scenario)
         << "trial " << trial;
@@ -415,22 +421,6 @@ TEST(ParallelEvaluator, MatchesSequentialVerdictsOnRandomPlans) {
   // The random plans must actually exercise both verdicts.
   EXPECT_GT(feasible_seen, 0);
   EXPECT_GT(infeasible_seen, 0);
-}
-
-TEST(ParallelEvaluator, SingleThreadDegradesToSequential) {
-  topo::Topology t = topo::make_preset('A');
-  ParallelPlanEvaluator parallel(t, 1);
-  EXPECT_EQ(parallel.threads(), 1);
-  std::vector<int> none(static_cast<std::size_t>(t.num_links()), 0);
-  EXPECT_FALSE(parallel.check(none).feasible);
-  EXPECT_GT(parallel.total_lp_iterations(), 0);
-}
-
-TEST(ParallelEvaluator, RejectsBadArguments) {
-  topo::Topology t = topo::make_preset('A');
-  EXPECT_THROW(ParallelPlanEvaluator(t, 0), std::invalid_argument);
-  ParallelPlanEvaluator parallel(t, 2);
-  EXPECT_THROW(parallel.check({1, 2}), std::invalid_argument);
 }
 
 TEST(ScenarioLp, DeadlineHitReportsUnknownVerdict) {
@@ -471,14 +461,16 @@ TEST(Evaluator, ScenarioBudgetExhaustionDegradesToUnknown) {
   EXPECT_EQ(ok.deadline_hits, 0);
 }
 
-TEST(ParallelEvaluator, ScenarioBudgetExhaustionDegradesToUnknown) {
+TEST(Evaluator, WarmPatchedScenarioBudgetExhaustionDegradesToUnknown) {
   topo::Topology t = figure1();
-  ParallelPlanEvaluator eval(t, 2);
+  PlanEvaluator eval(t, EvaluatorMode::kWarmPatched);
   eval.set_scenario_budget(1e-9);
   const CheckResult r = eval.check({1, 1});
   EXPECT_FALSE(r.feasible);
   EXPECT_EQ(r.verdict, Verdict::kUnknown);
   EXPECT_GT(r.deadline_hits, 0);
+  // The models cached by the cut-off check resolve a definite verdict
+  // once the budget is lifted, with no reset in between.
   eval.set_scenario_budget(0.0);
   const CheckResult ok = eval.check({1, 1});
   EXPECT_TRUE(ok.feasible);

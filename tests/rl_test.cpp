@@ -517,43 +517,6 @@ TEST(Trainer, FullyClippedChunkWithoutEntropyBonusTrains) {
   expect_same_training(one_step, reference, trainer, history);
 }
 
-TEST(Env, ParallelEvaluatorThreadsMatchSequential) {
-  // Same action sequence, same rewards/verdicts, whichever evaluator
-  // backs the env.
-  topo::Topology t = small_topology();
-  EnvConfig sequential_config = small_env_config();
-  EnvConfig parallel_config = sequential_config;
-  parallel_config.evaluator_threads = 2;
-  PlanningEnv sequential(t, sequential_config);
-  PlanningEnv parallel(t, parallel_config);
-  for (int i = 0; i < 30 && !sequential.done(); ++i) {
-    const auto mask = sequential.action_mask();
-    int action = -1;
-    const std::size_t start = (static_cast<std::size_t>(i) * 7) % mask.size();
-    for (std::size_t k = 0; k < mask.size(); ++k) {
-      const std::size_t idx = (start + k) % mask.size();
-      if (mask[idx]) {
-        action = static_cast<int>(idx);
-        break;
-      }
-    }
-    ASSERT_GE(action, 0);
-    const StepResult rs = sequential.step(action);
-    const StepResult rp = parallel.step(action);
-    EXPECT_DOUBLE_EQ(rp.reward, rs.reward);
-    EXPECT_EQ(rp.done, rs.done);
-    EXPECT_EQ(rp.feasible, rs.feasible);
-    if (rs.done) break;
-  }
-  EXPECT_THROW(
-      [&] {
-        EnvConfig bad = small_env_config();
-        bad.evaluator_threads = 0;
-        PlanningEnv env(t, bad);
-      }(),
-      std::invalid_argument);
-}
-
 TEST(Trainer, WorksWithoutGnn) {
   // Figure 10's 0-layer ablation must run end to end.
   topo::Topology t = small_topology();

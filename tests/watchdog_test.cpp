@@ -1,9 +1,8 @@
 // Watchdog tests: heartbeat scope nesting semantics, a manually
 // stalled worker flagged within the configured interval, escalation to
 // a "watchdog_stall" flight-record dump, and the acceptance scenario —
-// a parallel-plan-evaluator worker wedged by a stall fault is flagged
-// while the check still completes (stalls are symptom reports, not
-// kills).
+// a rollout worker wedged by a stall fault is flagged while collection
+// still completes (stalls are symptom reports, not kills).
 //
 // All suites are named Watchdog* so the tsan ctest preset picks them up.
 #include <gtest/gtest.h>
@@ -19,11 +18,13 @@
 #include <vector>
 
 #include "np_json.hpp"
+#include "nn/actor_critic.hpp"
 #include "obs/obs.hpp"
-#include "plan/parallel_evaluator.hpp"
+#include "rl/rollout.hpp"
 #include "temp_path.hpp"
 #include "topo/generator.hpp"
 #include "util/fault.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -171,11 +172,12 @@ TEST_F(WatchdogTest, StallEscalatesToWatchdogStallDump) {
   std::remove(path.c_str());
 }
 
-// Acceptance scenario: a parallel-evaluator worker wedged mid-scenario
-// (stall fault at plan.worker) goes quiet on its heartbeat, the
-// watchdog flags it within the stall interval, and the check still
-// finishes once the wedge clears — the run is never killed.
-TEST_F(WatchdogTest, WedgedParallelEvaluatorWorkerFlagged) {
+// Acceptance scenario: a rollout worker wedged inside its env step
+// (stall fault at rollout.step, under hb.rollout_step) goes quiet on
+// its heartbeat, the watchdog flags it within the stall interval, and
+// collect() still returns every step once the wedge clears — the run
+// is never killed.
+TEST_F(WatchdogTest, WedgedRolloutWorkerFlagged) {
   if (!NP_FAULTS_ENABLED) GTEST_SKIP() << "built without NEUROPLAN_FAULTS";
   obs::WatchdogConfig config;
   config.stall_seconds = 0.05;
@@ -183,16 +185,28 @@ TEST_F(WatchdogTest, WedgedParallelEvaluatorWorkerFlagged) {
   const long before = obs::Watchdog::instance().stalls_flagged();
 
   const topo::Topology t = topo::make_preset('A');
-  plan::ParallelPlanEvaluator eval(t, 2);
-  const std::vector<int> plan_units(static_cast<std::size_t>(t.num_links()), 1);
-  // First call at the site wedges that worker for well over the stall
+  rl::EnvConfig env_config;
+  env_config.max_units_per_step = 4;
+  env_config.max_trajectory_steps = 100;
+  nn::NetworkConfig net_config;
+  net_config.gcn_layers = 2;
+  net_config.gcn_hidden = 8;
+  net_config.mlp_hidden = {16};
+  Rng init(5);
+  nn::ActorCritic network(net_config, init);
+  rl::RolloutWorkers workers(t, env_config, network, /*workers=*/2, /*seed=*/5);
+  // The first env step wedges its worker for well over the stall
   // interval, then continues normally.
   util::FaultSpec spec;
   spec.nth_call = 1;
   spec.stall_ms = 400;
-  util::FaultInjector::instance().arm("plan.worker", spec);
-  const plan::CheckResult result = eval.check(plan_units);
-  EXPECT_EQ(result.scenarios_checked, eval.num_scenarios());
+  util::FaultInjector::instance().arm("rollout.step", spec);
+  constexpr int kQuota = 12;  // per worker
+  const std::vector<rl::WorkerRollout> out = workers.collect(2 * kQuota);
+  EXPECT_EQ(util::FaultInjector::instance().triggered("rollout.step"), 1);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].records.size(), static_cast<std::size_t>(kQuota));
+  EXPECT_EQ(out[1].records.size(), static_cast<std::size_t>(kQuota));
   EXPECT_GT(obs::Watchdog::instance().stalls_flagged(), before);
 }
 
