@@ -1,9 +1,11 @@
 // Solver microbenchmarks (google-benchmark): simplex scaling on random
-// LPs, scenario-LP construction and checking, warm vs cold solves, and
-// branch-and-bound on knapsacks. These are the primitives behind every
-// figure; regressions here move every experiment.
+// LPs, LU factorization of scenario-LP bases, scenario-LP construction
+// and checking, warm vs cold solves, and branch-and-bound on knapsacks.
+// These are the primitives behind every figure; regressions here move
+// every experiment.
 #include <benchmark/benchmark.h>
 
+#include "lp/factor.hpp"
 #include "lp/simplex.hpp"
 #include "milp/branch_and_bound.hpp"
 #include "plan/evaluator.hpp"
@@ -48,6 +50,45 @@ void BM_SimplexRandomLp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimplexRandomLp)->Arg(20)->Arg(80)->Arg(200)->Unit(benchmark::kMillisecond);
+
+// One factorization of the optimal basis of a topology's aggregated
+// no-failure scenario LP: the refactorization every warm re-solve
+// starts with. Basic columns come in ascending variable order, slacks
+// as -1 singletons, as the simplex builds them.
+void BM_FactorizeScenarioBasis(benchmark::State& state) {
+  const char id = static_cast<char>('A' + state.range(0));
+  const topo::Topology topology = topo::make_preset(id);
+  plan::ScenarioLp lp = plan::build_scenario_lp(topology, 0, true);
+  plan::set_plan_capacities(lp, topology, topology.initial_units());
+  const lp::Solution solved = lp::solve(lp.model);
+  if (solved.status != lp::SolveStatus::kOptimal) {
+    state.SkipWithError("scenario LP not solved to optimality");
+    return;
+  }
+  const int n = lp.model.num_variables();
+  const int m = lp.model.num_rows();
+  std::vector<lp::SparseColumn> columns(n + m);
+  for (int r = 0; r < m; ++r) {
+    for (const auto& [var, coeff] : lp.model.row(r).coefficients) {
+      if (coeff != 0.0) columns[var].push_back({r, coeff});
+    }
+    columns[n + r].push_back({r, -1.0});
+  }
+  std::vector<lp::ColumnView> basis;
+  for (int j = 0; j < n + m; ++j) {
+    if (solved.basis.statuses[j] == lp::VarStatus::kBasic) basis.emplace_back(columns[j]);
+  }
+  lp::BasisFactor factor;
+  for (auto _ : state) {
+    const bool ok = factor.factorize(m, basis);
+    benchmark::DoNotOptimize(ok);
+  }
+  state.counters["rows"] = m;
+  state.counters["lu_entries"] = static_cast<double>(factor.stats().lu_entries);
+  state.counters["positions_visited"] =
+      static_cast<double>(factor.stats().reach_positions);
+}
+BENCHMARK(BM_FactorizeScenarioBasis)->Arg(2)->Arg(3)->Arg(4)->Unit(benchmark::kMicrosecond);
 
 void BM_ScenarioLpBuild(benchmark::State& state) {
   const char id = static_cast<char>('A' + state.range(0));
@@ -107,7 +148,7 @@ void BM_MilpKnapsack(benchmark::State& state) {
   lp::Model model;
   std::vector<lp::Coefficient> coeffs;
   for (int j = 0; j < items; ++j) {
-    model.add_variable(0.0, 1.0, -rng.uniform(1.0, 10.0), "", true);
+    model.set_integer(model.add_variable(0.0, 1.0, -rng.uniform(1.0, 10.0)), true);
     coeffs.push_back({j, rng.uniform(1.0, 5.0)});
   }
   model.add_row(-lp::kInfinity, items * 1.2, std::move(coeffs));

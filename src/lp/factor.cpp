@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 #include "obs/metrics.hpp"
@@ -53,8 +54,8 @@ bool BasisFactor::factorize(int m, const std::vector<ColumnView>& columns) {
   // Static Markowitz-style column preorder: ascending nonzero count, so
   // slack/artificial singletons pivot first and generate no fill.
   // Counting sort — nonzero counts are bounded by m, and factorize()
-  // runs two or three times per warm-started solve, so the O(m log m)
-  // comparison sort was measurable here.
+  // runs once or twice per solve, so the O(m log m) comparison sort was
+  // measurable here.
   order_.resize(m);
   count_start_.assign(m + 2, 0);
   for (int c = 0; c < m; ++c) {
@@ -75,6 +76,7 @@ bool BasisFactor::factorize(int m, const std::vector<ColumnView>& columns) {
   }
 
   if (scatter_.size() != m) scatter_.resize(m);
+  stats_.reach_positions = 0;
   // L columns are built in original-row space during elimination (their
   // rows gain pivot positions only later); the indices are rewritten to
   // position space once the row permutation is complete.
@@ -82,9 +84,29 @@ bool BasisFactor::factorize(int m, const std::vector<ColumnView>& columns) {
     const int col = order_[k];
     // Left-looking sparse solve: x = L_k^{-1} a_col with the L built so
     // far, accumulated in the scatter workspace (original-row space).
+    // Only pivot positions the column reaches through L can hold a
+    // nonzero, so the solve walks just that reach, from a min-heap.
+    // Applying L column j touches only rows pivoted after j, so the
+    // positions pop in ascending order: every sum accumulates in
+    // position order, as a scan over all k earlier positions would.
     scatter_.clear();
     for (const auto& [r, v] : columns[col]) scatter_.add(r, v);
-    for (int j = 0; j < k; ++j) {
+    const std::vector<int>& pattern = scatter_.pattern();
+    std::size_t seen = 0;  // pattern entries already queued or skipped
+    for (;;) {
+      // A row enters the pattern once per column, so each reached
+      // position is queued once.
+      for (; seen < pattern.size(); ++seen) {
+        const int pos = pos_of_row_[pattern[seen]];
+        if (pos < 0) continue;
+        reach_.push_back(pos);
+        std::push_heap(reach_.begin(), reach_.end(), std::greater<>());
+      }
+      if (reach_.empty()) break;
+      std::pop_heap(reach_.begin(), reach_.end(), std::greater<>());
+      const int j = reach_.back();
+      reach_.pop_back();
+      ++stats_.reach_positions;
       const double xj = scatter_[row_of_pos_[j]];
       if (xj == 0.0) continue;
       for (int idx = lower_start_[j]; idx < lower_start_[j + 1]; ++idx) {

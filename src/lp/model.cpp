@@ -2,25 +2,24 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace np::lp {
 
-int Model::add_variable(double lower, double upper, double objective,
-                        std::string name, bool is_integer) {
+int Model::add_variable(double lower, double upper, double objective) {
   if (lower > upper) throw std::invalid_argument("Model: variable lower > upper");
   if (!std::isfinite(objective)) throw std::invalid_argument("Model: non-finite objective");
-  variables_.push_back({lower, upper, objective, is_integer, std::move(name)});
+  variables_.push_back({lower, upper, objective, false});
   return static_cast<int>(variables_.size()) - 1;
 }
 
-int Model::add_row(double lower, double upper, std::vector<Coefficient> coefficients,
-                   std::string name) {
+int Model::add_row(double lower, double upper, std::vector<Coefficient> coefficients) {
   if (lower > upper) throw std::invalid_argument("Model: row lower > upper");
   for (const auto& [var, coeff] : coefficients) {
     check_variable_index(var);
     if (!std::isfinite(coeff)) throw std::invalid_argument("Model: non-finite coefficient");
   }
-  rows_.push_back({lower, upper, std::move(coefficients), std::move(name)});
+  rows_.push_back({lower, upper, std::move(coefficients)});
   return static_cast<int>(rows_.size()) - 1;
 }
 
@@ -59,15 +58,6 @@ void Model::set_row_bounds(int index, double lower, double upper) {
   if (lower > upper) throw std::invalid_argument("Model: row lower > upper");
   rows_[index].lower = lower;
   rows_[index].upper = upper;
-}
-
-void Model::set_row_coefficients(int index, std::vector<Coefficient> coefficients) {
-  check_row_index(index);
-  for (const auto& [var, coeff] : coefficients) {
-    check_variable_index(var);
-    if (!std::isfinite(coeff)) throw std::invalid_argument("Model: non-finite coefficient");
-  }
-  rows_[index].coefficients = std::move(coefficients);
 }
 
 double Model::objective_value(const std::vector<double>& x) const {

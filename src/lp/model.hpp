@@ -3,15 +3,15 @@
 //
 // This is the in-memory form shared by the simplex solver (np::lp) and
 // the branch-and-bound MILP solver (np::milp). The plan evaluator and
-// the planning-ILP builder (np::plan) construct these models. Rows and
-// variable bounds are mutable after construction so the evaluator can
-// patch a model per failure scenario instead of rebuilding it — the
-// paper's "only update the constraints that are influenced by the
-// failure" optimization (§5).
+// the planning-ILP builder (np::plan) construct these models. Bounds
+// stay mutable after construction: the evaluator patches the capacity
+// rows' bounds per failure scenario instead of rebuilding the model —
+// the paper's "only update the constraints that are influenced by the
+// failure" optimization (§5) — and branch and bound tightens variable
+// bounds on its working copy.
 #pragma once
 
 #include <limits>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,26 +27,23 @@ struct Variable {
   double upper = kInfinity;
   double objective = 0.0;
   bool is_integer = false;  // honored by np::milp, ignored by the LP solver
-  std::string name;
 };
 
 struct Row {
   double lower = -kInfinity;
   double upper = kInfinity;
   std::vector<Coefficient> coefficients;
-  std::string name;
 };
 
 class Model {
  public:
-  /// Add a variable; returns its index.
-  int add_variable(double lower, double upper, double objective,
-                   std::string name = {}, bool is_integer = false);
+  /// Add a continuous variable; returns its index. set_integer() marks
+  /// it integer.
+  int add_variable(double lower, double upper, double objective);
 
   /// Add a row lo <= coeffs . x <= hi; returns its index. Coefficients
   /// referencing unknown variables throw.
-  int add_row(double lower, double upper, std::vector<Coefficient> coefficients,
-              std::string name = {});
+  int add_row(double lower, double upper, std::vector<Coefficient> coefficients);
 
   int num_variables() const { return static_cast<int>(variables_.size()); }
   int num_rows() const { return static_cast<int>(rows_.size()); }
@@ -58,9 +55,6 @@ class Model {
   void set_objective_coefficient(int index, double objective);
   void set_integer(int index, bool is_integer);
   void set_row_bounds(int index, double lower, double upper);
-
-  /// Replace a row's coefficient vector (evaluator patching).
-  void set_row_coefficients(int index, std::vector<Coefficient> coefficients);
 
   const std::vector<Variable>& variables() const { return variables_; }
   const std::vector<Row>& rows() const { return rows_; }

@@ -8,8 +8,9 @@
 // genuinely violated rows (equality rows with nonzero rhs) instead of
 // all of them; phase 2 fixes artificials to zero and optimizes the
 // real objective. The basis is one sparse LU factorization with a
-// product-form eta file (lp/factor.hpp): FTRAN/BTRAN in O(fill),
-// refactorization in O(fill^2)-ish.
+// product-form eta file (lp/factor.hpp): FTRAN/BTRAN in O(fill), and
+// refactorization in time proportional to its arithmetic (each column
+// walks only the pivot positions it reaches through L).
 //
 // The solver picks its pricing rule from its input: devex
 // reference-framework weights on a cold start, Dantzig (largest

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <map>
 #include <stdexcept>
-#include <string>
 
 namespace np::plan {
 
@@ -49,9 +48,9 @@ PlanningMilp::PlanningMilp(const topo::Topology& topology,
                             static_cast<double>(options.min_added_units[l]) /
                                 multiplier_ - 1e-9)));
     }
-    added_vars_.push_back(model_.add_variable(
-        lb, ub, topology.link_unit_cost(l) * multiplier_,
-        "add-" + topology.link(l).name, /*is_integer=*/true));
+    added_vars_.push_back(
+        model_.add_variable(lb, ub, topology.link_unit_cost(l) * multiplier_));
+    model_.set_integer(added_vars_.back(), true);
   }
 
   // ---- optional objective cutoff (known-plan upper bound) ----
@@ -60,8 +59,7 @@ PlanningMilp::PlanningMilp(const topo::Topology& topology,
     for (int l = 0; l < num_links_; ++l) {
       coeffs.push_back({added_vars_[l], topology.link_unit_cost(l) * multiplier_});
     }
-    model_.add_row(-lp::kInfinity, options.max_total_cost, std::move(coeffs),
-                   "cost-cutoff");
+    model_.add_row(-lp::kInfinity, options.max_total_cost, std::move(coeffs));
   }
 
   // ---- spectrum constraints (Eq. 4), once, over total capacity ----
@@ -74,7 +72,7 @@ PlanningMilp::PlanningMilp(const topo::Topology& topology,
     }
     if (coeffs.empty()) continue;
     model_.add_row(-lp::kInfinity, topology.fiber(f).spectrum_ghz - used_initial,
-                   std::move(coeffs), "spectrum-" + topology.fiber(f).name);
+                   std::move(coeffs));
   }
 
   // ---- scenario list ----
@@ -91,7 +89,6 @@ PlanningMilp::PlanningMilp(const topo::Topology& topology,
   for (int scenario : scenarios) {
     const topo::Failure& failure =
         scenario < 0 ? healthy : topology.failure(scenario);
-    const std::string tag = scenario < 0 ? "h" : std::to_string(scenario);
 
     std::vector<bool> alive(num_links_);
     for (int l = 0; l < num_links_; ++l) alive[l] = !topology.link_failed(l, failure);
@@ -146,9 +143,7 @@ PlanningMilp::PlanningMilp(const topo::Topology& topology,
         const auto sink_it = sinks.find(n);
         if (sink_it != sinks.end()) rhs -= sink_it->second;
         if (coeffs.empty() && rhs == 0.0) continue;
-        model_.add_row(rhs, rhs, std::move(coeffs),
-                       "cons-" + tag + "-c" + std::to_string(c) + "-n" +
-                           std::to_string(n));
+        model_.add_row(rhs, rhs, std::move(coeffs));
       }
     }
 
@@ -162,11 +157,8 @@ PlanningMilp::PlanningMilp(const topo::Topology& topology,
           coeffs.push_back({y[c][2 * l + dir], 1.0});
         }
         coeffs.push_back({added_vars_[l], -unit_gbps});
-        model_.add_row(-lp::kInfinity,
-                       initial[l] * topology.capacity_unit_gbps(),
-                       std::move(coeffs),
-                       "cap-" + tag + "-l" + std::to_string(l) + "-d" +
-                           std::to_string(dir));
+        model_.add_row(-lp::kInfinity, initial[l] * topology.capacity_unit_gbps(),
+                       std::move(coeffs));
       }
     }
   }

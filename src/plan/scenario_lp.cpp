@@ -2,7 +2,6 @@
 
 #include <map>
 #include <stdexcept>
-#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -136,8 +135,7 @@ ScenarioLp build_scenario_lp(const topo::Topology& topology, int scenario,
         }
       }
       if (coeffs.empty() && rhs == 0.0) continue;  // isolated, uninvolved site
-      out.model.add_row(rhs, rhs, std::move(coeffs),
-                        "cons-c" + std::to_string(c) + "-n" + std::to_string(n));
+      out.model.add_row(rhs, rhs, std::move(coeffs));
     }
   }
 
@@ -151,9 +149,8 @@ ScenarioLp build_scenario_lp(const topo::Topology& topology, int scenario,
       for (int c = 0; c < num_commodities; ++c) {
         coeffs.push_back({y[c][2 * l + dir], 1.0});
       }
-      out.capacity_row[2 * l + dir] = out.model.add_row(
-          -lp::kInfinity, 0.0, std::move(coeffs),
-          "cap-l" + std::to_string(l) + "-d" + std::to_string(dir));
+      out.capacity_row[2 * l + dir] =
+          out.model.add_row(-lp::kInfinity, 0.0, std::move(coeffs));
     }
   }
   return out;

@@ -7,9 +7,11 @@
 // regressions (the rule follows the warm start; degenerate LPs must
 // terminate under partial pricing; devex weights must hold their floor
 // across mid-solve refactorizations), property tests of BasisFactor
-// itself, and BasisFactor checked solve by solve against a dense
-// Gauss-Jordan inverse (tests/reference_basis.hpp), before and after
-// product-form eta accumulation.
+// itself (including how many pivot positions a factorization visits),
+// BasisFactor checked solve by solve against a dense Gauss-Jordan
+// inverse (tests/reference_basis.hpp), before and after product-form
+// eta accumulation, and the bits of its solves on B's and C's scenario
+// LPs pinned by a hash.
 //
 // All randomness is seeded; NEUROPLAN_TEST_SEED offsets every seed so
 // a different corpus can be swept reproducibly.
@@ -18,6 +20,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "lp/factor.hpp"
@@ -462,6 +465,34 @@ TEST(BasisFactorProperty, StatsReflectFactorizationAndEtas) {
   EXPECT_EQ(factor.stats().eta_entries, 0);
 }
 
+TEST(BasisFactorProperty, FactorizeWorkFollowsFill) {
+  // A scenario-LP-shaped basis: ~2,000 slack singletons plus a cyclic
+  // block of 3-entry structural columns. Left-looking elimination may
+  // visit only the pivot positions each column reaches through L; a
+  // scan over every earlier position would visit m(m-1)/2 ~ 2e6.
+  const int m = 2000;
+  const int structural = 10;
+  std::vector<SparseColumn> columns(m);
+  for (int p = 0; p < structural; ++p) {
+    columns[p] = {{p, 2.0}, {(p + 1) % structural, 1.0}, {structural + 7 * p, 0.5}};
+  }
+  for (int p = structural; p < m; ++p) columns[p] = {{p, -1.0}};
+  long column_entries = 0;
+  for (const SparseColumn& c : columns) column_entries += static_cast<long>(c.size());
+
+  BasisFactor factor;
+  ASSERT_TRUE(factor.factorize(m, views_of(columns)));
+  // The last structural column closes the cycle and so walks the L
+  // columns of all the others.
+  EXPECT_GE(factor.stats().reach_positions, structural);
+  EXPECT_LE(factor.stats().reach_positions,
+            factor.stats().lu_entries + column_entries);
+  Rng rng(test_seed(9));
+  for (int trial = 0; trial < 10; ++trial) {
+    expect_solves_basis(factor, columns, random_rhs(m, rng), "cyclic block");
+  }
+}
+
 // ---- BasisFactor vs the dense reference inverse ----
 
 /// Entries of `got` within 1e-9 of `want`, relative to want's largest
@@ -602,6 +633,66 @@ TEST(BasisFactorReference, ScenarioLpBasesMatchDenseInverse) {
       if (HasFatalFailure()) return;
     }
   }
+}
+
+/// FNV-1a over the bit patterns of `values`, folded into `hash`.
+void fnv1a_bits(const std::vector<double>& values, std::uint64_t& hash) {
+  for (const double v : values) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3u;
+    }
+  }
+}
+
+TEST(BasisFactorReference, ScenarioLpFactorsAreBitStable) {
+  // Pins the factorization's bits, not just its accuracy: the optimal
+  // basis of every scenario LP of B and C, both formulations, with the
+  // basic columns in ascending variable order (as the simplex's warm
+  // start lists them), hashed through ftran and btran of a fixed
+  // right-hand side and btran_unit at every position. A change to the
+  // elimination that reorders any floating-point operation moves the
+  // hash; the simplex's verdicts and the perfbench digests rest on it.
+  std::uint64_t hash = 0xcbf29ce484222325u;
+  int factorizations = 0;
+  for (const char id : {'B', 'C'}) {
+    const topo::Topology topology = topo::make_preset(id);
+    for (const bool aggregate : {true, false}) {
+      for (int scenario = 0; scenario <= topology.num_failures(); ++scenario) {
+        plan::ScenarioLp lp = plan::build_scenario_lp(topology, scenario, aggregate);
+        plan::set_plan_capacities(lp, topology, topology.initial_units());
+        const Solution solved = solve(lp.model, solver_options());
+        ASSERT_EQ(solved.status, SolveStatus::kOptimal);
+        const std::vector<SparseColumn> all = computational_columns(lp.model);
+        std::vector<SparseColumn> basic;
+        for (std::size_t j = 0; j < all.size(); ++j) {
+          if (solved.basis.statuses[j] == VarStatus::kBasic) basic.push_back(all[j]);
+        }
+        const int m = lp.model.num_rows();
+        ASSERT_EQ(static_cast<int>(basic.size()), m);
+        BasisFactor factor;
+        ASSERT_TRUE(factor.factorize(m, views_of(basic)));
+        ++factorizations;
+
+        std::vector<double> x(m);
+        for (int i = 0; i < m; ++i) x[i] = 1.0 + 0.25 * (i % 7) - 0.5 * (i % 3);
+        std::vector<double> y = x;
+        factor.ftran(x);
+        factor.btran(y);
+        fnv1a_bits(x, hash);
+        fnv1a_bits(y, hash);
+        std::vector<double> rho;
+        for (int p = 0; p < m; ++p) {
+          factor.btran_unit(p, rho);
+          fnv1a_bits(rho, hash);
+        }
+      }
+    }
+  }
+  EXPECT_GT(factorizations, 40);
+  EXPECT_EQ(hash, 0x855ca9a9fd483c7cu) << "hash 0x" << std::hex << hash;
 }
 
 }  // namespace

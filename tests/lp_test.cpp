@@ -15,14 +15,16 @@ namespace {
 
 TEST(Model, AddAndQuery) {
   Model m;
-  const int x = m.add_variable(0.0, 10.0, 1.0, "x");
-  const int y = m.add_variable(-kInfinity, kInfinity, -2.0, "y");
-  const int r = m.add_row(-kInfinity, 5.0, {{x, 1.0}, {y, 2.0}}, "r");
+  const int x = m.add_variable(0.0, 10.0, 1.0);
+  const int y = m.add_variable(-kInfinity, kInfinity, -2.0);
+  const int r = m.add_row(-kInfinity, 5.0, {{x, 1.0}, {y, 2.0}});
   EXPECT_EQ(m.num_variables(), 2);
   EXPECT_EQ(m.num_rows(), 1);
   EXPECT_DOUBLE_EQ(m.variable(x).upper, 10.0);
   EXPECT_DOUBLE_EQ(m.row(r).upper, 5.0);
-  EXPECT_EQ(m.variable(y).name, "y");
+  EXPECT_FALSE(m.variable(y).is_integer);
+  m.set_integer(y, true);
+  EXPECT_TRUE(m.variable(y).is_integer);
 }
 
 TEST(Model, RejectsInvertedBounds) {

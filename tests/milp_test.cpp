@@ -14,6 +14,13 @@ namespace {
 
 using lp::kInfinity;
 
+/// Add an integer variable to `m`; returns its index.
+int add_integer(lp::Model& m, double lower, double upper, double objective) {
+  const int j = m.add_variable(lower, upper, objective);
+  m.set_integer(j, true);
+  return j;
+}
+
 TEST(Milp, PureLpPassesThrough) {
   lp::Model m;
   const int x = m.add_variable(0.0, 4.0, -1.0);
@@ -26,7 +33,7 @@ TEST(Milp, PureLpPassesThrough) {
 TEST(Milp, IntegerRoundingMatters) {
   // max x st x <= 2.5, x integer -> 2 (LP would give 2.5).
   lp::Model m;
-  const int x = m.add_variable(0.0, 10.0, -1.0, "x", /*is_integer=*/true);
+  const int x = add_integer(m, 0.0, 10.0, -1.0);
   m.add_row(-kInfinity, 2.5, {{x, 1.0}});
   MilpResult r = np::milp::solve(m);
   ASSERT_EQ(r.status, MilpStatus::kOptimal);
@@ -37,9 +44,9 @@ TEST(Milp, IntegerRoundingMatters) {
 TEST(Milp, KnapsackKnownOptimum) {
   // max 10a + 13b + 7c st 3a + 4b + 2c <= 6, binary -> a=0 b=c=1 value 20.
   lp::Model m;
-  const int a = m.add_variable(0.0, 1.0, -10.0, "a", true);
-  const int b = m.add_variable(0.0, 1.0, -13.0, "b", true);
-  const int c = m.add_variable(0.0, 1.0, -7.0, "c", true);
+  const int a = add_integer(m, 0.0, 1.0, -10.0);
+  const int b = add_integer(m, 0.0, 1.0, -13.0);
+  const int c = add_integer(m, 0.0, 1.0, -7.0);
   m.add_row(-kInfinity, 6.0, {{a, 3.0}, {b, 4.0}, {c, 2.0}});
   MilpResult r = np::milp::solve(m);
   ASSERT_EQ(r.status, MilpStatus::kOptimal);
@@ -52,8 +59,8 @@ TEST(Milp, KnapsackKnownOptimum) {
 TEST(Milp, MixedIntegerContinuous) {
   // min 2u + v st u + v >= 3.5, u integer, v in [0, 1] -> u=3, v=0.5, obj 6.5.
   lp::Model m;
-  const int u = m.add_variable(0.0, 10.0, 2.0, "u", true);
-  const int v = m.add_variable(0.0, 1.0, 1.0, "v");
+  const int u = add_integer(m, 0.0, 10.0, 2.0);
+  const int v = m.add_variable(0.0, 1.0, 1.0);
   m.add_row(3.5, kInfinity, {{u, 1.0}, {v, 1.0}});
   MilpResult r = np::milp::solve(m);
   ASSERT_EQ(r.status, MilpStatus::kOptimal);
@@ -65,26 +72,26 @@ TEST(Milp, MixedIntegerContinuous) {
 TEST(Milp, InfeasibleIntegerBox) {
   // 0.4 <= x <= 0.6 with x integer has no solution.
   lp::Model m;
-  m.add_variable(0.4, 0.6, 1.0, "x", true);
+  add_integer(m, 0.4, 0.6, 1.0);
   EXPECT_EQ(np::milp::solve(m).status, MilpStatus::kInfeasible);
 }
 
 TEST(Milp, InfeasibleLpRelaxation) {
   lp::Model m;
-  const int x = m.add_variable(0.0, 1.0, 1.0, "x", true);
+  const int x = add_integer(m, 0.0, 1.0, 1.0);
   m.add_row(5.0, kInfinity, {{x, 1.0}});
   EXPECT_EQ(np::milp::solve(m).status, MilpStatus::kInfeasible);
 }
 
 TEST(Milp, UnboundedDetected) {
   lp::Model m;
-  m.add_variable(0.0, kInfinity, -1.0, "x", true);
+  add_integer(m, 0.0, kInfinity, -1.0);
   EXPECT_EQ(np::milp::solve(m).status, MilpStatus::kUnbounded);
 }
 
 TEST(Milp, TimeLimitKeepsIncumbent) {
   lp::Model m;
-  const int x = m.add_variable(0.0, 9.0, -1.0, "x", true);
+  const int x = add_integer(m, 0.0, 9.0, -1.0);
   m.add_row(-kInfinity, 7.2, {{x, 1.0}});
   MilpOptions options;
   options.time_limit_seconds = 0.0;
@@ -101,7 +108,7 @@ TEST(Milp, NodeLimitReported) {
   // A knapsack that needs at least a couple of nodes.
   std::vector<int> vars;
   for (int j = 0; j < 8; ++j) {
-    vars.push_back(m.add_variable(0.0, 1.0, -(1.0 + 0.1 * j), "", true));
+    vars.push_back(add_integer(m, 0.0, 1.0, -(1.0 + 0.1 * j)));
   }
   std::vector<lp::Coefficient> coeffs;
   for (int j = 0; j < 8; ++j) coeffs.push_back({vars[j], 1.0 + 0.3 * j});
@@ -115,7 +122,7 @@ TEST(Milp, NodeLimitReported) {
 
 TEST(Milp, WarmStartAcceptedAndImproved) {
   lp::Model m;
-  const int x = m.add_variable(0.0, 10.0, -1.0, "x", true);
+  const int x = add_integer(m, 0.0, 10.0, -1.0);
   m.add_row(-kInfinity, 6.3, {{x, 1.0}});
   std::vector<double> start = {2.0};  // feasible but suboptimal
   MilpOptions options;
@@ -127,7 +134,7 @@ TEST(Milp, WarmStartAcceptedAndImproved) {
 
 TEST(Milp, InfeasibleWarmStartIgnored) {
   lp::Model m;
-  const int x = m.add_variable(0.0, 10.0, -1.0, "x", true);
+  const int x = add_integer(m, 0.0, 10.0, -1.0);
   m.add_row(-kInfinity, 6.3, {{x, 1.0}});
   std::vector<double> start = {9.0};  // violates the row
   MilpOptions options;
@@ -139,7 +146,7 @@ TEST(Milp, InfeasibleWarmStartIgnored) {
 
 TEST(Milp, FractionalWarmStartIgnored) {
   lp::Model m;
-  const int x = m.add_variable(0.0, 10.0, -1.0, "x", true);
+  const int x = add_integer(m, 0.0, 10.0, -1.0);
   m.add_row(-kInfinity, 6.3, {{x, 1.0}});
   std::vector<double> start = {2.5};
   MilpOptions options;
@@ -151,7 +158,7 @@ TEST(Milp, FractionalWarmStartIgnored) {
 
 TEST(Milp, GapIsReportedAsClosedAtOptimum) {
   lp::Model m;
-  const int x = m.add_variable(0.0, 10.0, -1.0, "x", true);
+  const int x = add_integer(m, 0.0, 10.0, -1.0);
   m.add_row(-kInfinity, 4.5, {{x, 1.0}});
   MilpResult r = np::milp::solve(m);
   ASSERT_EQ(r.status, MilpStatus::kOptimal);
@@ -161,8 +168,8 @@ TEST(Milp, GapIsReportedAsClosedAtOptimum) {
 TEST(Milp, EqualityWithIntegers) {
   // 3x + 5y = 19, x,y >= 0 integer, min x + y -> x=3, y=2.
   lp::Model m;
-  const int x = m.add_variable(0.0, 20.0, 1.0, "x", true);
-  const int y = m.add_variable(0.0, 20.0, 1.0, "y", true);
+  const int x = add_integer(m, 0.0, 20.0, 1.0);
+  const int y = add_integer(m, 0.0, 20.0, 1.0);
   m.add_row(19.0, 19.0, {{x, 3.0}, {y, 5.0}});
   MilpResult r = np::milp::solve(m);
   ASSERT_EQ(r.status, MilpStatus::kOptimal);
@@ -174,8 +181,8 @@ TEST(Milp, IntegerWarmStartSeedsIncumbent) {
   // Mixed problem where the continuous part must be re-derived: the
   // integer warm start fixes u and solves for v.
   lp::Model m;
-  const int u = m.add_variable(0.0, 10.0, 2.0, "u", true);
-  const int v = m.add_variable(0.0, 1.0, 1.0, "v");
+  const int u = add_integer(m, 0.0, 10.0, 2.0);
+  const int v = m.add_variable(0.0, 1.0, 1.0);
   m.add_row(3.5, lp::kInfinity, {{u, 1.0}, {v, 1.0}});
   std::vector<double> seed = {5.0, 0.0};  // integer part only; v ignored
   MilpOptions options;
@@ -188,7 +195,7 @@ TEST(Milp, IntegerWarmStartSeedsIncumbent) {
 
 TEST(Milp, IntegerWarmStartClampedIntoBounds) {
   lp::Model m;
-  const int x = m.add_variable(0.0, 3.0, -1.0, "x", true);
+  const int x = add_integer(m, 0.0, 3.0, -1.0);
   m.add_row(-lp::kInfinity, 10.0, {{x, 1.0}});
   std::vector<double> seed = {99.0};  // clamped to 3
   MilpOptions options;
@@ -200,7 +207,7 @@ TEST(Milp, IntegerWarmStartClampedIntoBounds) {
 
 TEST(Milp, WrongSizeIntegerWarmStartIgnored) {
   lp::Model m;
-  m.add_variable(0.0, 3.0, -1.0, "x", true);
+  add_integer(m, 0.0, 3.0, -1.0);
   std::vector<double> seed = {1.0, 2.0};
   MilpOptions options;
   options.integer_warm_start = &seed;
@@ -217,7 +224,7 @@ TEST_P(RandomMilpSweep, MatchesExhaustiveEnumeration) {
   const int box = 4;                                         // each in [0, 4]
   lp::Model m;
   for (int j = 0; j < n; ++j) {
-    m.add_variable(0.0, box, rng.uniform(-3.0, 3.0), "", true);
+    add_integer(m, 0.0, box, rng.uniform(-3.0, 3.0));
   }
   const int rows = 1 + static_cast<int>(rng.uniform_index(3));
   for (int r = 0; r < rows; ++r) {

@@ -43,7 +43,7 @@ TEST_P(MilpRelaxationSweep, OptimumDominatedByRelaxation) {
   lp::Model m;
   for (int j = 0; j < n; ++j) {
     const bool integer = rng.uniform() < 0.6;
-    m.add_variable(0.0, 5.0, rng.uniform(-2.0, 2.0), "", integer);
+    m.set_integer(m.add_variable(0.0, 5.0, rng.uniform(-2.0, 2.0)), integer);
   }
   for (int r = 0; r < 3; ++r) {
     std::vector<lp::Coefficient> coeffs;
