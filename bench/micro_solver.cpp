@@ -1,6 +1,7 @@
 // Solver microbenchmarks (google-benchmark): simplex scaling on random
 // LPs, LU factorization of scenario-LP bases, scenario-LP construction
-// and checking, warm vs cold solves, and branch-and-bound on knapsacks.
+// and checking, warm vs cold solves, warm re-solves on a kept LU, and
+// branch-and-bound on knapsacks.
 // These are the primitives behind every figure; regressions here move
 // every experiment.
 #include <benchmark/benchmark.h>
@@ -8,6 +9,7 @@
 #include "lp/factor.hpp"
 #include "lp/simplex.hpp"
 #include "milp/branch_and_bound.hpp"
+#include "obs/metrics.hpp"
 #include "plan/evaluator.hpp"
 #include "plan/scenario_lp.hpp"
 #include "topo/generator.hpp"
@@ -128,6 +130,30 @@ void BM_ScenarioWarmCheck(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScenarioWarmCheck)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+
+// A warm re-solve of a topology's aggregated no-failure scenario LP at
+// unchanged capacities: the warm start adopts the LU the previous solve
+// kept (plan::ScenarioLp::factor) instead of refactorizing, so
+// refactors_per_solve reads 0.
+void BM_WarmResolveScenario(benchmark::State& state) {
+  const char id = static_cast<char>('A' + state.range(0));
+  const topo::Topology topology = topo::make_preset(id);
+  plan::ScenarioLp lp = plan::build_scenario_lp(topology, 0, true);
+  plan::set_plan_capacities(lp, topology, topology.initial_units());
+  // Cold (no basis yet), then warm until the basis settles and its LU
+  // is kept: a warm start from the cold solve's basis may still pivot.
+  for (int prime = 0; prime < 3; ++prime) (void)plan::solve_scenario(lp, {}, true);
+  obs::Counter& refactorizations = obs::counter("lp.refactorizations");
+  const long before = refactorizations.value();
+  for (auto _ : state) {
+    plan::ScenarioCheck check = plan::solve_scenario(lp, {}, true);
+    benchmark::DoNotOptimize(check.unserved_gbps);
+  }
+  state.counters["refactors_per_solve"] =
+      static_cast<double>(refactorizations.value() - before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_WarmResolveScenario)->Arg(2)->Arg(3)->Arg(4)->Unit(benchmark::kMicrosecond);
 
 void BM_StatefulFullSweep(benchmark::State& state) {
   const topo::Topology topology = topo::make_preset('B');

@@ -27,35 +27,35 @@ constexpr int kMaxEtas = 128;
 }  // namespace
 
 bool BasisFactor::factorize(int m, const std::vector<ColumnView>& columns) {
-  if (obs::detail_enabled() && stats_.factorizations > 0) {
+  if (obs::detail_enabled() && lu_.m > 0) {
     // How long the eta file got before this refactorization — the
     // "update vs. refactor" balance the simplex is actually running at.
     static obs::Histogram& eta_len = obs::histogram(
         "lp.eta_entries_at_refactor", obs::exponential_buckets(1.0, 2.0, 14));
     eta_len.observe(static_cast<double>(stats_.eta_entries));
   }
-  m_ = m;
+  lu_.m = m;
   etas_.clear();
   eta_entries_.clear();
   ++stats_.factorizations;
   stats_.eta_entries = 0;
   stats_.lu_entries = 0;
-  lower_entries_.clear();
-  upper_entries_.clear();
-  lower_start_.assign(m + 1, 0);
-  upper_start_.assign(m + 1, 0);
-  diag_.assign(m, 0.0);
-  row_of_pos_.assign(m, -1);
-  pos_of_row_.assign(m, -1);
-  col_of_pos_.assign(m, -1);
-  pos_of_col_.assign(m, -1);
+  lu_.lower_entries.clear();
+  lu_.upper_entries.clear();
+  lu_.lower_start.assign(m + 1, 0);
+  lu_.upper_start.assign(m + 1, 0);
+  lu_.diag.assign(m, 0.0);
+  lu_.row_of_pos.assign(m, -1);
+  lu_.pos_of_row.assign(m, -1);
+  lu_.col_of_pos.assign(m, -1);
+  lu_.pos_of_col.assign(m, -1);
   if (m == 0) return true;
 
   // Static Markowitz-style column preorder: ascending nonzero count, so
   // slack/artificial singletons pivot first and generate no fill.
   // Counting sort — nonzero counts are bounded by m, and factorize()
-  // runs once or twice per solve, so the O(m log m) comparison sort was
-  // measurable here.
+  // runs up to a few times per solve, so the O(m log m) comparison sort
+  // was measurable here.
   order_.resize(m);
   count_start_.assign(m + 2, 0);
   for (int c = 0; c < m; ++c) {
@@ -97,7 +97,7 @@ bool BasisFactor::factorize(int m, const std::vector<ColumnView>& columns) {
       // A row enters the pattern once per column, so each reached
       // position is queued once.
       for (; seen < pattern.size(); ++seen) {
-        const int pos = pos_of_row_[pattern[seen]];
+        const int pos = lu_.pos_of_row[pattern[seen]];
         if (pos < 0) continue;
         reach_.push_back(pos);
         std::push_heap(reach_.begin(), reach_.end(), std::greater<>());
@@ -107,10 +107,11 @@ bool BasisFactor::factorize(int m, const std::vector<ColumnView>& columns) {
       const int j = reach_.back();
       reach_.pop_back();
       ++stats_.reach_positions;
-      const double xj = scatter_[row_of_pos_[j]];
+      const double xj = scatter_[lu_.row_of_pos[j]];
       if (xj == 0.0) continue;
-      for (int idx = lower_start_[j]; idx < lower_start_[j + 1]; ++idx) {
-        scatter_.add(lower_entries_[idx].first, -lower_entries_[idx].second * xj);
+      for (int idx = lu_.lower_start[j]; idx < lu_.lower_start[j + 1]; ++idx) {
+        const auto& [i, v] = lu_.lower_entries[idx];
+        scatter_.add(i, -v * xj);
       }
     }
     // Split the result: entries at already-pivoted rows form U's column
@@ -119,20 +120,20 @@ bool BasisFactor::factorize(int m, const std::vector<ColumnView>& columns) {
     for (int r : scatter_.pattern()) {
       const double x = scatter_[r];
       if (x == 0.0) continue;
-      if (pos_of_row_[r] >= 0) {
-        upper_entries_.emplace_back(pos_of_row_[r], x);
+      if (lu_.pos_of_row[r] >= 0) {
+        lu_.upper_entries.emplace_back(lu_.pos_of_row[r], x);
       } else {
         max_abs = std::max(max_abs, std::abs(x));
       }
     }
-    upper_start_[k + 1] = static_cast<int>(upper_entries_.size());
+    lu_.upper_start[k + 1] = static_cast<int>(lu_.upper_entries.size());
     if (max_abs < kAbsolutePivotTolerance) return false;  // singular
     // Threshold partial pivoting, preferring sparse rows among the
     // numerically acceptable candidates.
     int pivot_row = -1;
     for (int r : scatter_.pattern()) {
       const double x = scatter_[r];
-      if (x == 0.0 || pos_of_row_[r] >= 0) continue;
+      if (x == 0.0 || lu_.pos_of_row[r] >= 0) continue;
       if (std::abs(x) < kRelativePivotThreshold * max_abs) continue;
       if (pivot_row < 0 || row_count_[r] < row_count_[pivot_row] ||
           (row_count_[r] == row_count_[pivot_row] &&
@@ -140,26 +141,26 @@ bool BasisFactor::factorize(int m, const std::vector<ColumnView>& columns) {
         pivot_row = r;
       }
     }
-    diag_[k] = scatter_[pivot_row];
-    row_of_pos_[k] = pivot_row;
-    pos_of_row_[pivot_row] = k;
-    col_of_pos_[k] = col;
-    pos_of_col_[col] = k;
+    lu_.diag[k] = scatter_[pivot_row];
+    lu_.row_of_pos[k] = pivot_row;
+    lu_.pos_of_row[pivot_row] = k;
+    lu_.col_of_pos[k] = col;
+    lu_.pos_of_col[col] = k;
     for (int r : scatter_.pattern()) {
       const double x = scatter_[r];
-      if (x == 0.0 || r == pivot_row || pos_of_row_[r] >= 0) continue;
-      lower_entries_.emplace_back(r, x / diag_[k]);
+      if (x == 0.0 || r == pivot_row || lu_.pos_of_row[r] >= 0) continue;
+      lu_.lower_entries.emplace_back(r, x / lu_.diag[k]);
     }
-    lower_start_[k + 1] = static_cast<int>(lower_entries_.size());
+    lu_.lower_start[k + 1] = static_cast<int>(lu_.lower_entries.size());
   }
 
   // Rewrite L's indices from original rows to pivot positions.
-  for (auto& [r, v] : lower_entries_) {
+  for (auto& [r, v] : lu_.lower_entries) {
     (void)v;
-    r = pos_of_row_[r];
+    r = lu_.pos_of_row[r];
   }
-  stats_.lu_entries = static_cast<long>(lower_entries_.size()) +
-                      static_cast<long>(upper_entries_.size()) + m;
+  stats_.lu_entries = static_cast<long>(lu_.lower_entries.size()) +
+                      static_cast<long>(lu_.upper_entries.size()) + m;
   if (obs::detail_enabled()) {
     static obs::Histogram& lu = obs::histogram(
         "lp.lu_entries", obs::exponential_buckets(8.0, 2.0, 14));
@@ -171,40 +172,54 @@ bool BasisFactor::factorize(int m, const std::vector<ColumnView>& columns) {
     std::vector<std::vector<std::pair<int, double>>> lower(m), upper(m),
         permuted(m);
     for (int k = 0; k < m; ++k) {
-      lower[k].assign(lower_entries_.begin() + lower_start_[k],
-                      lower_entries_.begin() + lower_start_[k + 1]);
-      upper[k].assign(upper_entries_.begin() + upper_start_[k],
-                      upper_entries_.begin() + upper_start_[k + 1]);
-      const ColumnView col = columns[col_of_pos_[k]];
+      lower[k].assign(lu_.lower_entries.begin() + lu_.lower_start[k],
+                      lu_.lower_entries.begin() + lu_.lower_start[k + 1]);
+      upper[k].assign(lu_.upper_entries.begin() + lu_.upper_start[k],
+                      lu_.upper_entries.begin() + lu_.upper_start[k + 1]);
+      const ColumnView col = columns[lu_.col_of_pos[k]];
       permuted[k].reserve(col.size());
-      for (const auto& [r, v] : col) permuted[k].emplace_back(pos_of_row_[r], v);
+      for (const auto& [r, v] : col) permuted[k].emplace_back(lu_.pos_of_row[r], v);
     }
-    NP_CHECK_LU(m, lower, upper, diag_, permuted, 1e-8,
+    NP_CHECK_LU(m, lower, upper, lu_.diag, permuted, 1e-8,
                 "BasisFactor::factorize");
   }
 #endif
   return true;
 }
 
+void BasisFactor::adopt(LuFactors lu) {
+  const auto m = static_cast<std::size_t>(lu.m);
+  NP_ASSERT(lu.diag.size() == m && lu.lower_start.size() == m + 1 &&
+                lu.upper_start.size() == m + 1 && lu.row_of_pos.size() == m &&
+                lu.col_of_pos.size() == m,
+            "BasisFactor::adopt: not a complete factorization of dimension ", m);
+  lu_ = std::move(lu);
+  etas_.clear();
+  eta_entries_.clear();
+  stats_.eta_entries = 0;
+  stats_.lu_entries = static_cast<long>(lu_.lower_entries.size()) +
+                      static_cast<long>(lu_.upper_entries.size()) + lu_.m;
+}
+
 void BasisFactor::lower_solve(std::vector<double>& x) const {
-  const std::pair<int, double>* entries = lower_entries_.data();
-  for (int k = 0; k < m_; ++k) {
+  const std::pair<int, double>* entries = lu_.lower_entries.data();
+  for (int k = 0; k < lu_.m; ++k) {
     const double xk = x[k];
     if (xk == 0.0) continue;
-    for (int idx = lower_start_[k]; idx < lower_start_[k + 1]; ++idx) {
+    for (int idx = lu_.lower_start[k]; idx < lu_.lower_start[k + 1]; ++idx) {
       x[entries[idx].first] -= entries[idx].second * xk;
     }
   }
 }
 
 void BasisFactor::upper_solve(std::vector<double>& x) const {
-  const std::pair<int, double>* entries = upper_entries_.data();
-  for (int k = m_ - 1; k >= 0; --k) {
+  const std::pair<int, double>* entries = lu_.upper_entries.data();
+  for (int k = lu_.m - 1; k >= 0; --k) {
     double xk = x[k];
     if (xk == 0.0) continue;
-    xk /= diag_[k];
+    xk /= lu_.diag[k];
     x[k] = xk;
-    for (int idx = upper_start_[k]; idx < upper_start_[k + 1]; ++idx) {
+    for (int idx = lu_.upper_start[k]; idx < lu_.upper_start[k + 1]; ++idx) {
       x[entries[idx].first] -= entries[idx].second * xk;
     }
   }
@@ -214,21 +229,21 @@ void BasisFactor::upper_transpose_solve(std::vector<double>& x, int first) const
   // U^T is lower triangular; column k of U is row k of U^T. Positions
   // before `first` are structurally zero in the right-hand side and
   // stay zero in the solution, so the sweep starts at `first`.
-  const std::pair<int, double>* entries = upper_entries_.data();
-  for (int k = first; k < m_; ++k) {
+  const std::pair<int, double>* entries = lu_.upper_entries.data();
+  for (int k = first; k < lu_.m; ++k) {
     double acc = x[k];
-    for (int idx = upper_start_[k]; idx < upper_start_[k + 1]; ++idx) {
+    for (int idx = lu_.upper_start[k]; idx < lu_.upper_start[k + 1]; ++idx) {
       acc -= entries[idx].second * x[entries[idx].first];
     }
-    x[k] = acc / diag_[k];
+    x[k] = acc / lu_.diag[k];
   }
 }
 
 void BasisFactor::lower_transpose_solve(std::vector<double>& x) const {
-  const std::pair<int, double>* entries = lower_entries_.data();
-  for (int k = m_ - 1; k >= 0; --k) {
+  const std::pair<int, double>* entries = lu_.lower_entries.data();
+  for (int k = lu_.m - 1; k >= 0; --k) {
     double acc = x[k];
-    for (int idx = lower_start_[k]; idx < lower_start_[k + 1]; ++idx) {
+    for (int idx = lu_.lower_start[k]; idx < lu_.lower_start[k + 1]; ++idx) {
       acc -= entries[idx].second * x[entries[idx].first];
     }
     x[k] = acc;
@@ -259,22 +274,22 @@ void BasisFactor::apply_etas_transposed(std::vector<double>& x) const {
 }
 
 void BasisFactor::ftran(std::vector<double>& x) const {
-  work_.assign(m_, 0.0);
-  for (int k = 0; k < m_; ++k) work_[k] = x[row_of_pos_[k]];
+  work_.assign(lu_.m, 0.0);
+  for (int k = 0; k < lu_.m; ++k) work_[k] = x[lu_.row_of_pos[k]];
   lower_solve(work_);
   upper_solve(work_);
-  for (int k = 0; k < m_; ++k) x[col_of_pos_[k]] = work_[k];
+  for (int k = 0; k < lu_.m; ++k) x[lu_.col_of_pos[k]] = work_[k];
   apply_etas(x);
 }
 
 void BasisFactor::ftran_column(ColumnView a, std::vector<double>& w) const {
-  work_.assign(m_, 0.0);
-  for (const auto& [r, v] : a) work_[pos_of_row_[r]] += v;
+  work_.assign(lu_.m, 0.0);
+  for (const auto& [r, v] : a) work_[lu_.pos_of_row[r]] += v;
   lower_solve(work_);
   upper_solve(work_);
-  w.assign(m_, 0.0);
-  for (int k = 0; k < m_; ++k) {
-    if (work_[k] != 0.0) w[col_of_pos_[k]] = work_[k];
+  w.assign(lu_.m, 0.0);
+  for (int k = 0; k < lu_.m; ++k) {
+    if (work_[k] != 0.0) w[lu_.col_of_pos[k]] = work_[k];
   }
   apply_etas(w);
   if (obs::detail_enabled()) {
@@ -290,21 +305,21 @@ void BasisFactor::ftran_column(ColumnView a, std::vector<double>& w) const {
 
 void BasisFactor::btran(std::vector<double>& x) const {
   apply_etas_transposed(x);
-  work_.assign(m_, 0.0);
-  for (int k = 0; k < m_; ++k) work_[k] = x[col_of_pos_[k]];
+  work_.assign(lu_.m, 0.0);
+  for (int k = 0; k < lu_.m; ++k) work_[k] = x[lu_.col_of_pos[k]];
   upper_transpose_solve(work_, 0);
   lower_transpose_solve(work_);
-  for (int k = 0; k < m_; ++k) x[row_of_pos_[k]] = work_[k];
+  for (int k = 0; k < lu_.m; ++k) x[lu_.row_of_pos[k]] = work_[k];
 }
 
 void BasisFactor::btran_unit(int p, std::vector<double>& rho) const {
-  rho.assign(m_, 0.0);
+  rho.assign(lu_.m, 0.0);
   rho[p] = 1.0;
   apply_etas_transposed(rho);
-  work_.assign(m_, 0.0);
-  int first = m_;
-  for (int k = 0; k < m_; ++k) {
-    const double v = rho[col_of_pos_[k]];
+  work_.assign(lu_.m, 0.0);
+  int first = lu_.m;
+  for (int k = 0; k < lu_.m; ++k) {
+    const double v = rho[lu_.col_of_pos[k]];
     if (v != 0.0) {
       work_[k] = v;
       first = std::min(first, k);
@@ -312,7 +327,7 @@ void BasisFactor::btran_unit(int p, std::vector<double>& rho) const {
   }
   upper_transpose_solve(work_, first);
   lower_transpose_solve(work_);
-  for (int k = 0; k < m_; ++k) rho[row_of_pos_[k]] = work_[k];
+  for (int k = 0; k < lu_.m; ++k) rho[lu_.row_of_pos[k]] = work_[k];
   if (obs::detail_enabled()) {
     long nnz = 0;
     for (double v : rho) nnz += v != 0.0 ? 1 : 0;
@@ -327,7 +342,7 @@ void BasisFactor::append_eta(int p, const std::vector<double>& w) {
   eta.pivot_pos = p;
   eta.pivot_value = w[p];
   eta.start = static_cast<int>(eta_entries_.size());
-  for (int i = 0; i < m_; ++i) {
+  for (int i = 0; i < lu_.m; ++i) {
     if (i != p && w[i] != 0.0) eta_entries_.emplace_back(i, w[i]);
   }
   eta.count = static_cast<int>(eta_entries_.size()) - eta.start;
@@ -337,7 +352,7 @@ void BasisFactor::append_eta(int p, const std::vector<double>& w) {
 
 bool BasisFactor::prefers_refactor() const {
   return static_cast<int>(etas_.size()) >= kMaxEtas ||
-         stats_.eta_entries > 4 * (stats_.lu_entries + m_);
+         stats_.eta_entries > 4 * (stats_.lu_entries + lu_.m);
 }
 
 }  // namespace np::lp

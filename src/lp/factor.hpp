@@ -26,9 +26,13 @@
 // costs become near-O(nnz) ones.
 //
 // L, U and the eta file live in flat (CSC-style) arrays whose capacity
-// survives refactorizations: the perfbench workloads refactorize 1.2 to
-// 2.2 times per solve, and per-column heap churn would otherwise rival
-// the arithmetic at these sizes (m ~ 10^2).
+// survives refactorizations within a solve: per-column heap churn would
+// otherwise rival the arithmetic at these sizes (m ~ 10^2). The LU
+// alone (LuFactors: no eta file, no workspace) can be read out and
+// adopted back, which is how a scenario LP keeps the factorization its
+// last solve ended on (lp/simplex.hpp KeptFactor). A warm re-solve of
+// that basis then does no refactorization; a solve that pivots does
+// one more, to verify its terminal.
 #pragma once
 
 #include <utility>
@@ -67,12 +71,44 @@ struct FactorStats {
   long reach_positions = 0;
 };
 
+/// One factorization P·B·Q = L·U, without the eta file or the
+/// factorization workspace. L and U store their strictly-off-diagonal
+/// entries column-wise in flat arrays indexed by pivot position: column
+/// k of L occupies lower_entries[lower_start[k] .. lower_start[k+1])
+/// with entries (i, v), i > k; likewise upper with i < k. L's diagonal
+/// is an implicit 1, U's diagonal is `diag`. Flat so refactorization
+/// reuses capacity instead of reallocating ~2m column vectors.
+struct LuFactors {
+  int m = 0;
+  std::vector<std::pair<int, double>> lower_entries;
+  std::vector<int> lower_start;
+  std::vector<std::pair<int, double>> upper_entries;
+  std::vector<int> upper_start;
+  std::vector<double> diag;
+  std::vector<int> row_of_pos;  ///< P: pivot position -> original row
+  std::vector<int> pos_of_row;  ///< P^{-1}
+  std::vector<int> col_of_pos;  ///< Q: pivot position -> basis position
+  std::vector<int> pos_of_col;  ///< Q^{-1}
+};
+
 class BasisFactor {
  public:
   /// Factorize the m x m basis whose columns are given by position.
   /// Clears the eta file. Returns false when the basis is numerically
   /// singular (no pivot above the absolute tolerance in some column).
   bool factorize(int m, const std::vector<ColumnView>& columns);
+
+  /// Install `lu`, read out by lu() after an earlier factorize() of the
+  /// same columns in the same order, as if factorize() had just rebuilt
+  /// it. factorize() is a pure function of its columns, so every later
+  /// solve is bit-identical to one after a refactorization. Clears the
+  /// eta file.
+  void adopt(LuFactors lu);
+
+  /// The current factorization, valid after a successful factorize()
+  /// or adopt(). With no eta appended since, it alone represents the
+  /// current basis.
+  const LuFactors& lu() const { return lu_; }
 
   /// FTRAN with a dense right-hand side: x := B^{-1} x. Input indexed
   /// by row, output by basis position.
@@ -101,7 +137,7 @@ class BasisFactor {
   /// simplex refactorizes early on this signal.
   bool prefers_refactor() const;
 
-  int dim() const { return m_; }
+  int dim() const { return lu_.m; }
   int eta_count() const { return static_cast<int>(etas_.size()); }
   const FactorStats& stats() const { return stats_; }
 
@@ -115,10 +151,7 @@ class BasisFactor {
   };
 
   // Triangular solves over the pivot-position space, in place, with
-  // structural zero skipping. L and U store strictly-off-diagonal
-  // entries column-wise in flat arrays (lu_entries_ indexed through
-  // {lower,upper}_start_); L's diagonal is an implicit 1, U's diagonal
-  // is diag_.
+  // structural zero skipping.
   void lower_solve(std::vector<double>& x) const;
   void upper_solve(std::vector<double>& x) const;
   void upper_transpose_solve(std::vector<double>& x, int first) const;
@@ -126,20 +159,7 @@ class BasisFactor {
   void apply_etas(std::vector<double>& x) const;
   void apply_etas_transposed(std::vector<double>& x) const;
 
-  int m_ = 0;
-  // Column k of L occupies lower_entries_[lower_start_[k] ..
-  // lower_start_[k+1]) with entries (i, v), i > k; likewise upper_ with
-  // i < k. Flat so refactorization reuses capacity instead of
-  // reallocating ~2m column vectors.
-  std::vector<std::pair<int, double>> lower_entries_;
-  std::vector<int> lower_start_;
-  std::vector<std::pair<int, double>> upper_entries_;
-  std::vector<int> upper_start_;
-  std::vector<double> diag_;     // U's diagonal
-  std::vector<int> row_of_pos_;  // P: pivot position -> original row
-  std::vector<int> pos_of_row_;  // P^{-1}
-  std::vector<int> col_of_pos_;  // Q: pivot position -> basis position
-  std::vector<int> pos_of_col_;  // Q^{-1}
+  LuFactors lu_;
   std::vector<Eta> etas_;
   std::vector<std::pair<int, double>> eta_entries_;
   FactorStats stats_;

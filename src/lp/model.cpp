@@ -23,6 +23,11 @@ int Model::add_row(double lower, double upper, std::vector<Coefficient> coeffici
   return static_cast<int>(rows_.size()) - 1;
 }
 
+void Model::reserve(int variables, int rows) {
+  variables_.reserve(variables);
+  rows_.reserve(rows);
+}
+
 void Model::check_variable_index(int index) const {
   if (index < 0 || index >= num_variables()) {
     throw std::out_of_range("Model: variable index " + std::to_string(index));

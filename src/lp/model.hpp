@@ -45,6 +45,11 @@ class Model {
   /// referencing unknown variables throw.
   int add_row(double lower, double upper, std::vector<Coefficient> coefficients);
 
+  /// Make room for `variables` variables and `rows` rows in total, so a
+  /// builder that knows its sizes fills the model without regrowth (a
+  /// resident model would otherwise hold the growth slack for good).
+  void reserve(int variables, int rows);
+
   int num_variables() const { return static_cast<int>(variables_.size()); }
   int num_rows() const { return static_cast<int>(rows_.size()); }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "la/sparse_vector.hpp"
 #include "lp/factor.hpp"
@@ -58,11 +59,14 @@ constexpr int kRetryRefactorInterval = 50;
 class Simplex {
  public:
   Simplex(const Model& model, const SimplexOptions& options,
-          int refactor_period)
+          int refactor_period, KeptFactor* kept)
       : model_(model),
         options_(options),
         refactor_period_(refactor_period),
-        devex_(options.warm_start == nullptr) {
+        devex_(options.warm_start == nullptr),
+        kept_(kept) {
+    // Taken on entry, so a solve that throws leaves nothing kept.
+    if (kept_ != nullptr) reusable_ = std::exchange(*kept_, {});
     n_struct_ = model.num_variables();
     m_ = model.num_rows();
     n_real_ = n_struct_ + m_;        // structural + slacks
@@ -315,7 +319,13 @@ class Simplex {
       status_[n_real_ + r] = VarStatus::kAtLower;  // artificials parked at 0
       val_[n_real_ + r] = 0.0;
     }
-    if (!refactor()) return WarmState::kNone;
+    // The kept LU of this very basis, in this order, is what refactor()
+    // would rebuild bit for bit.
+    if (!reusable_.basis.empty() && reusable_.basis == basis_) {
+      factor_.adopt(std::move(reusable_.lu));
+    } else if (!refactor()) {
+      return WarmState::kNone;
+    }
     compute_basic_values();
     factor_fresh_ = true;
     needs_phase1_ = false;
@@ -1107,7 +1117,22 @@ class Simplex {
       for (int j = 0; j < n_struct_; ++j) obj += model_.variable(j).objective * val_[j];
       solution.objective = obj;
       solution.basis.statuses.assign(status_.begin(), status_.begin() + n_real_);
+      keep_factor();
     }
+  }
+
+  /// Copies the final LU to kept_ when a warm start from the returned
+  /// basis could adopt it: no eta after its factorization (from a pivot
+  /// or purge_artificials), and basis_ in the ascending order
+  /// try_warm_start lists a basis in, artificials excluded. The copy
+  /// leaves the factor's spare capacity behind.
+  void keep_factor() {
+    if (kept_ == nullptr || m_ == 0 || factor_.eta_count() > 0 ||
+        basis_.back() >= n_real_ || !std::is_sorted(basis_.begin(), basis_.end())) {
+      return;
+    }
+    kept_->basis = basis_;
+    kept_->lu = factor_.lu();
   }
 
   const Model& model_;
@@ -1150,16 +1175,21 @@ class Simplex {
   std::vector<int> basis_;       // variable index per basis position
   BasisFactor factor_;
   std::vector<ColumnView> basis_cols_;  // refactor() scratch
+
+  // ---- kept LU (KeptFactor) ----
+  KeptFactor* const kept_;  // caller's slot; null = keep nothing
+  KeptFactor reusable_;     // what kept_ held on entry
 };
 
 }  // namespace
 
 namespace {
 
-Solution solve_impl(const Model& model, const SimplexOptions& options) {
+Solution solve_impl(const Model& model, const SimplexOptions& options,
+                    KeptFactor* kept) {
   model.validate();
   try {
-    Simplex simplex(model, options, kRefactorInterval);
+    Simplex simplex(model, options, kRefactorInterval, kept);
     return simplex.run();
   } catch (const util::ContractViolation&) {
     throw;  // contract bugs must surface, never be retried away
@@ -1173,7 +1203,7 @@ Solution solve_impl(const Model& model, const SimplexOptions& options) {
     SimplexOptions conservative = options;
     conservative.warm_start = nullptr;
     try {
-      Simplex retry(model, conservative, kRetryRefactorInterval);
+      Simplex retry(model, conservative, kRetryRefactorInterval, kept);
       return retry.run();
     } catch (const util::ContractViolation&) {
       throw;
@@ -1236,9 +1266,9 @@ void record_solve_metrics(const Solution& solution) {
 
 }  // namespace
 
-Solution solve(const Model& model, const SimplexOptions& options) {
+Solution solve(const Model& model, const SimplexOptions& options, KeptFactor* kept) {
   NP_SPAN("simplex.solve");
-  Solution solution = solve_impl(model, options);
+  Solution solution = solve_impl(model, options, kept);
   record_solve_metrics(solution);
   return solution;
 }

@@ -10,7 +10,9 @@
 // real objective. The basis is one sparse LU factorization with a
 // product-form eta file (lp/factor.hpp): FTRAN/BTRAN in O(fill), and
 // refactorization in time proportional to its arithmetic (each column
-// walks only the pivot positions it reaches through L).
+// walks only the pivot positions it reaches through L). A caller that
+// re-solves one model can keep the LU a solve ended on (KeptFactor), so
+// a warm start from that same basis skips its refactorization.
 //
 // The solver picks its pricing rule from its input: devex
 // reference-framework weights on a cold start, Dantzig (largest
@@ -29,6 +31,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "lp/factor.hpp"
 #include "lp/model.hpp"
 #include "util/deadline.hpp"
 
@@ -101,8 +104,24 @@ struct Solution {
   StartPath start_path = StartPath::kCold;
 };
 
+/// The LU a solve ended on, kept for the next solve of the same model.
+/// When that solve's warm basis, listed in ascending variable order,
+/// equals `basis`, it adopts `lu` instead of refactorizing: the same LU,
+/// bit for bit, since a factorization is a pure function of the basis
+/// columns in order. Valid only while the model's coefficients stay as
+/// they were (bounds and objective may change); empty `basis` = none.
+struct KeptFactor {
+  std::vector<int> basis;  ///< variable index per basis position
+  LuFactors lu;
+};
+
 /// Solve the model. Integer markers on variables are ignored (this is
-/// the LP relaxation); np::milp layers integrality on top.
-Solution solve(const Model& model, const SimplexOptions& options = {});
+/// the LP relaxation); np::milp layers integrality on top. With `kept`,
+/// the solve empties it on entry, may adopt what it held (see
+/// KeptFactor), and refills it only when it returns optimal on a basis
+/// a warm start can list in the same order with no eta after its last
+/// factorization; a throw leaves it empty.
+Solution solve(const Model& model, const SimplexOptions& options = {},
+               KeptFactor* kept = nullptr);
 
 }  // namespace np::lp

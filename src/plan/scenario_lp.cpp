@@ -1,5 +1,6 @@
 #include "plan/scenario_lp.hpp"
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
 
@@ -81,10 +82,40 @@ ScenarioLp build_scenario_lp(const topo::Topology& topology, int scenario,
 
   const std::vector<Commodity> commodities =
       build_commodities(topology, failure, aggregate_sources);
+  const int num_commodities = static_cast<int>(commodities.size());
+
+  // The cached evaluators keep every scenario LP resident, so the model
+  // is sized exactly: variables and rows are reserved up front, and each
+  // row is assembled in `coeffs` and handed over as an exact copy.
+  // Conservation row (c, n) exists when site n has an alive link or is
+  // c's source or one of its (distinct) sinks; see the loop below.
+  std::vector<int> degree(topology.num_sites(), 0);
+  int alive_links = 0;
+  for (int l = 0; l < num_links; ++l) {
+    if (!alive[l]) continue;
+    ++alive_links;
+    const topo::IpLink& link = topology.link(l);
+    ++degree[link.site_a];
+    if (link.site_b != link.site_a) ++degree[link.site_b];
+  }
+  const int linked_sites = static_cast<int>(
+      std::count_if(degree.begin(), degree.end(), [](int d) { return d > 0; }));
+  int num_sinks = 0;
+  int conservation_rows = 0;
+  for (const Commodity& commodity : commodities) {
+    num_sinks += static_cast<int>(commodity.sinks.size());
+    conservation_rows += linked_sites + (degree[commodity.source] == 0 ? 1 : 0);
+    for (const auto& [dst, demand] : commodity.sinks) {
+      (void)demand;
+      if (degree[dst] == 0 && dst != commodity.source) ++conservation_rows;
+    }
+  }
+  out.model.reserve(num_commodities * 2 * alive_links + num_sinks,
+                    conservation_rows + 2 * alive_links);
+  std::vector<lp::Coefficient> coeffs;
 
   // Flow variables: y[c][l][dir] for alive links. dir 0 = site_a->site_b.
   // Variable layout per commodity kept in a flat map for row assembly.
-  const int num_commodities = static_cast<int>(commodities.size());
   std::vector<std::vector<int>> y(num_commodities,
                                   std::vector<int>(2 * num_links, -1));
   for (int c = 0; c < num_commodities; ++c) {
@@ -111,7 +142,7 @@ ScenarioLp build_scenario_lp(const topo::Topology& topology, int scenario,
   for (int c = 0; c < num_commodities; ++c) {
     const Commodity& commodity = commodities[c];
     for (int n = 0; n < topology.num_sites(); ++n) {
-      std::vector<lp::Coefficient> coeffs;
+      coeffs.clear();
       for (int l = 0; l < num_links; ++l) {
         if (!alive[l]) continue;
         const topo::IpLink& link = topology.link(l);
@@ -135,7 +166,7 @@ ScenarioLp build_scenario_lp(const topo::Topology& topology, int scenario,
         }
       }
       if (coeffs.empty() && rhs == 0.0) continue;  // isolated, uninvolved site
-      out.model.add_row(rhs, rhs, std::move(coeffs));
+      out.model.add_row(rhs, rhs, {coeffs.begin(), coeffs.end()});
     }
   }
 
@@ -145,12 +176,12 @@ ScenarioLp build_scenario_lp(const topo::Topology& topology, int scenario,
   for (int l = 0; l < num_links; ++l) {
     if (!alive[l]) continue;
     for (int dir = 0; dir < 2; ++dir) {
-      std::vector<lp::Coefficient> coeffs;
+      coeffs.clear();
       for (int c = 0; c < num_commodities; ++c) {
         coeffs.push_back({y[c][2 * l + dir], 1.0});
       }
       out.capacity_row[2 * l + dir] =
-          out.model.add_row(-lp::kInfinity, 0.0, std::move(coeffs));
+          out.model.add_row(-lp::kInfinity, 0.0, {coeffs.begin(), coeffs.end()});
     }
   }
   return out;
@@ -177,8 +208,9 @@ ScenarioCheck solve_scenario(ScenarioLp& lp, const lp::SimplexOptions& base_opti
   scenario_solves.add(1);
   lp::SimplexOptions options = base_options;
   options.warm_start = (use_warm_start && lp.has_basis) ? &lp.basis : nullptr;
+  lp::KeptFactor* kept = use_warm_start ? &lp.factor : nullptr;
   const bool attempted_warm = options.warm_start != nullptr;
-  lp::Solution solution = lp::solve(lp.model, options);
+  lp::Solution solution = lp::solve(lp.model, options, kept);
   if (solution.status != lp::SolveStatus::kOptimal &&
       options.warm_start != nullptr && !options.deadline.expired()) {
     // The elastic LP is feasible and bounded by construction, so any
@@ -189,7 +221,7 @@ ScenarioCheck solve_scenario(ScenarioLp& lp, const lp::SimplexOptions& base_opti
     static obs::Counter& cold_retries = obs::counter("plan.cold_retries");
     cold_retries.add(1);
     options.warm_start = nullptr;
-    lp::Solution retry = lp::solve(lp.model, options);
+    lp::Solution retry = lp::solve(lp.model, options, kept);
     retry.iterations += solution.iterations;
     retry.solve_seconds += solution.solve_seconds;
     retry.pricing_seconds += solution.pricing_seconds;

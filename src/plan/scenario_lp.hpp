@@ -7,7 +7,9 @@
 // the optimum is ~0. Elasticity keeps the LP always-feasible, so every
 // solve yields an optimal basis that warm-starts the next check of the
 // same scenario after a capacity increment — the mechanism behind the
-// paper's stateful failure checking speedup.
+// paper's stateful failure checking speedup. A warm solve also keeps
+// the LU of that basis when no pivot followed its factorization, so the
+// next warm start from an unchanged basis skips its refactorization.
 //
 // With `aggregate_sources` (the paper's source aggregation, [60]) flows
 // sharing a source become one commodity, shrinking constraints from
@@ -36,6 +38,10 @@ struct ScenarioLp {
   /// Warm-start basis of the previous solve.
   lp::Basis basis;
   bool has_basis = false;
+  /// LU of the basis the previous warm solve ended on, when the next
+  /// warm start can adopt it instead of refactorizing (lp::KeptFactor).
+  /// Only the row bounds of `model` are ever patched, so it stays valid.
+  lp::KeptFactor factor;
   int failure_index = -1;  ///< -1 = healthy
 };
 
@@ -75,7 +81,9 @@ struct ScenarioCheck {
 };
 
 /// Solve the elastic LP (optionally warm-started from lp.basis) and
-/// report feasibility. Stores the final basis back for the next call.
+/// report feasibility. Stores the final basis back for the next call;
+/// a warm solve also reads and refreshes lp.factor, a cold one passes
+/// the simplex nothing to keep.
 ScenarioCheck solve_scenario(ScenarioLp& lp, const lp::SimplexOptions& base_options,
                              bool use_warm_start);
 

@@ -8,6 +8,8 @@
 #include <string>
 
 #include "ad/snapshot.hpp"
+#include "lp/simplex.hpp"
+#include "obs/metrics.hpp"
 #include "plan/scenario_lp.hpp"
 #include "rl/trainer.hpp"
 #include "temp_path.hpp"
@@ -184,6 +186,58 @@ TEST_F(FaultTest, LpRefactorFaultPropagatesFromSolve) {
   // The model is still usable once the fault clears.
   plan::ScenarioCheck check = plan::solve_scenario(lp, {}, false);
   EXPECT_GE(check.lp_iterations, 0);
+}
+
+TEST_F(FaultTest, LpRefactorFaultInAReusedLuSolveLeavesNoKeptLu) {
+  if (!NP_FAULTS_ENABLED) GTEST_SKIP() << "built without NEUROPLAN_FAULTS";
+  const topo::Topology t = topo::make_preset('A');
+  std::vector<int> plentiful(t.num_links());
+  for (int l = 0; l < t.num_links(); ++l) plentiful[l] = t.link_max_units(l);
+  plan::ScenarioLp lp = plan::build_scenario_lp(t, plan::kHealthyScenario, true);
+  plan::set_plan_capacities(lp, t, plentiful);
+  (void)plan::solve_scenario(lp, {}, true);  // cold: no basis yet
+  (void)plan::solve_scenario(lp, {}, true);  // warm at the same plan: keeps its LU
+  ASSERT_FALSE(lp.factor.basis.empty());
+  // Cutting every link to nothing makes the kept basis primal
+  // infeasible: the warm start adopts the kept LU (no refactorization),
+  // so the first lp.refactor call is the dual repair's verification of
+  // its terminal, and that is where the fault fires.
+  const std::vector<int> none(t.num_links(), 0);
+  plan::set_plan_capacities(lp, t, none);
+  obs::Counter& refactorizations = obs::counter("lp.refactorizations");
+  auto refactors_of_warm_solve = [&](plan::ScenarioLp probe) {
+    lp::SimplexOptions warm;
+    warm.warm_start = &probe.basis;
+    const long before = refactorizations.value();
+    const lp::Solution repaired = lp::solve(probe.model, warm, &probe.factor);
+    EXPECT_EQ(repaired.start_path, lp::StartPath::kDualRepair);
+    return refactorizations.value() - before;
+  };
+  plan::ScenarioLp nothing_kept = lp;
+  nothing_kept.factor = {};
+  const long reused = refactors_of_warm_solve(lp);
+  ASSERT_GE(reused, 1);
+  ASSERT_EQ(reused, refactors_of_warm_solve(nothing_kept) - 1);
+
+  FaultInjector::instance().arm("lp.refactor", FaultSpec{0.0, 1});
+  EXPECT_THROW(plan::solve_scenario(lp, {}, true), InjectedFault);
+  FaultInjector::instance().disarm_all();
+  EXPECT_TRUE(lp.factor.basis.empty());
+  EXPECT_TRUE(lp.factor.lu.diag.empty());
+
+  // The next solve equals one on a fresh model warm-started from the
+  // same basis with nothing kept.
+  plan::ScenarioLp fresh = plan::build_scenario_lp(t, plan::kHealthyScenario, true);
+  plan::set_plan_capacities(fresh, t, none);
+  fresh.basis = lp.basis;
+  fresh.has_basis = true;
+  const plan::ScenarioCheck after = plan::solve_scenario(lp, {}, true);
+  const plan::ScenarioCheck want = plan::solve_scenario(fresh, {}, true);
+  EXPECT_EQ(after.verdict, want.verdict);
+  EXPECT_EQ(after.unserved_gbps, want.unserved_gbps);
+  EXPECT_EQ(after.lp_iterations, want.lp_iterations);
+  EXPECT_EQ(lp.basis.statuses, fresh.basis.statuses);
+  EXPECT_EQ(lp.factor.basis, fresh.factor.basis);
 }
 
 TEST_F(FaultTest, RolloutStepFaultAbortsEpochAndTrainerRecovers) {

@@ -6,7 +6,9 @@
 // randomized general LPs re-solved after a bound change. Plus pricing
 // regressions (the rule follows the warm start; degenerate LPs must
 // terminate under partial pricing; devex weights must hold their floor
-// across mid-solve refactorizations), property tests of BasisFactor
+// across mid-solve refactorizations), the kept LU (a warm solve that
+// adopts the LU its scenario kept must equal, bit for bit, one that
+// refactorizes, and must skip that refactorization), property tests of BasisFactor
 // itself (including how many pivot positions a factorization visits),
 // BasisFactor checked solve by solve against a dense Gauss-Jordan
 // inverse (tests/reference_basis.hpp), before and after product-form
@@ -295,6 +297,127 @@ TEST(Pricing, WeightInvariantsHoldUnderFrequentRefactorization) {
   expect_objectives_match(warm.objective, recold.objective);
 }
 
+// ---- kept LU (KeptFactor) ----
+
+/// One warm step the way plan::solve_scenario takes it, returning the
+/// whole Solution: warm from lp.basis when there is one, reading and
+/// refreshing lp.factor.
+Solution warm_step(plan::ScenarioLp& lp) {
+  Solution solution =
+      solve(lp.model, solver_options(lp.has_basis ? &lp.basis : nullptr), &lp.factor);
+  if (solution.status == SolveStatus::kOptimal) {
+    lp.basis = solution.basis;
+    lp.has_basis = true;
+  }
+  return solution;
+}
+
+/// The basic variables of `basis` in ascending order: the order a warm
+/// start lists them in, and so the only order worth keeping an LU for.
+std::vector<int> ascending_basic(const Basis& basis) {
+  std::vector<int> basic;
+  for (std::size_t j = 0; j < basis.statuses.size(); ++j) {
+    if (basis.statuses[j] == VarStatus::kBasic) basic.push_back(static_cast<int>(j));
+  }
+  return basic;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(KeptFactor, WarmTrajectoriesMatchRefactorizingTwinBitForBit) {
+  // Every scenario LP of B and C, both formulations, through one warm
+  // trajectory that mixes monotone steps, repeats of the same plan and
+  // capacity cuts (dual repair). Each step is solved on a ScenarioLp
+  // that keeps its LU and on a twin whose kept LU is dropped before
+  // every solve, so the twin refactorizes at each warm start. Adopting
+  // the kept LU must change no bit of the result. One step first
+  // re-solves both sides cold at zero capacity, which replaces the
+  // stored basis but not the kept LU: the warm start that follows must
+  // see that the LU belongs to another basis.
+  obs::Counter& refactorizations = obs::counter("lp.refactorizations");
+  long adopted = 0;  // warm starts the kept side did not refactorize
+  for (const char id : {'B', 'C'}) {
+    const topo::Topology topology = topo::make_preset(id);
+    for (const bool aggregate : {true, false}) {
+      for (int scenario = 0; scenario <= topology.num_failures(); ++scenario) {
+        plan::ScenarioLp kept = plan::build_scenario_lp(topology, scenario, aggregate);
+        plan::ScenarioLp twin = plan::build_scenario_lp(topology, scenario, aggregate);
+        Rng rng(test_seed(11) + static_cast<unsigned>(scenario));
+        std::vector<int> units = topology.initial_units();
+        for (int step = 0; step < 9; ++step) {
+          const int l = static_cast<int>(rng.uniform_index(topology.num_links()));
+          if (step % 3 == 0 && topology.spectrum_headroom_units(l, units) > 0) {
+            units[l] += 1;  // monotone
+          } else if (step % 3 == 2) {
+            units[l] = std::max(0, units[l] - 2);  // non-monotone
+          }  // step % 3 == 1: the same plan again
+          if (step == 7) {
+            const std::vector<int> none(topology.num_links(), 0);
+            for (plan::ScenarioLp* lp : {&kept, &twin}) {
+              plan::set_plan_capacities(*lp, topology, none);
+              (void)plan::solve_scenario(*lp, solver_options(), false);
+            }
+          }
+          plan::set_plan_capacities(kept, topology, units);
+          plan::set_plan_capacities(twin, topology, units);
+          twin.factor = {};
+          const long r0 = refactorizations.value();
+          const Solution a = warm_step(kept);
+          const long r1 = refactorizations.value();
+          const Solution b = warm_step(twin);
+          adopted += (refactorizations.value() - r1) - (r1 - r0);
+          SCOPED_TRACE(::testing::Message()
+                       << id << (aggregate ? " aggregated" : " per-flow")
+                       << " scenario " << scenario << " step " << step);
+          ASSERT_EQ(a.status, b.status);
+          EXPECT_TRUE(same_bits({a.objective}, {b.objective}))
+              << a.objective << " vs " << b.objective;
+          EXPECT_TRUE(same_bits(a.x, b.x));
+          EXPECT_TRUE(a.basis.statuses == b.basis.statuses);
+          EXPECT_EQ(a.iterations, b.iterations);
+          EXPECT_EQ(a.start_path, b.start_path);
+          // What is kept factorizes the returned basis, as listed.
+          EXPECT_TRUE(kept.factor.basis.empty() ||
+                      kept.factor.basis == ascending_basic(kept.basis));
+        }
+      }
+    }
+  }
+  // Each adopted LU is one refactorization the twin did and the kept
+  // side did not; the trajectory's repeats guarantee some.
+  EXPECT_GT(adopted, 0);
+}
+
+TEST(KeptFactor, WarmResolveAtUnchangedCapacitiesDoesNotRefactorize) {
+  const topo::Topology topology = topo::make_preset('C');
+  plan::ScenarioLp lp = plan::build_scenario_lp(topology, 0, true);
+  plan::set_plan_capacities(lp, topology, topology.initial_units());
+  (void)plan::solve_scenario(lp, solver_options(), true);  // no basis yet: cold
+  (void)plan::solve_scenario(lp, solver_options(), true);  // warm: keeps its LU
+  ASSERT_FALSE(lp.factor.basis.empty());
+  obs::Counter& refactorizations = obs::counter("lp.refactorizations");
+  const long before = refactorizations.value();
+  const plan::ScenarioCheck check = plan::solve_scenario(lp, solver_options(), true);
+  EXPECT_EQ(refactorizations.value() - before, 0);
+  EXPECT_NE(check.verdict, plan::Verdict::kUnknown);
+  EXPECT_FALSE(lp.factor.basis.empty());
+}
+
+TEST(KeptFactor, ColdSolvesKeepNothing) {
+  const topo::Topology topology = topo::make_preset('B');
+  plan::ScenarioLp lp = plan::build_scenario_lp(topology, 0, true);
+  plan::set_plan_capacities(lp, topology, topology.initial_units());
+  (void)plan::solve_scenario(lp, solver_options(), false);
+  EXPECT_TRUE(lp.factor.basis.empty());
+  (void)plan::solve_scenario(lp, solver_options(), true);
+  ASSERT_FALSE(lp.factor.basis.empty());
+  EXPECT_EQ(lp.factor.basis, ascending_basic(lp.basis));
+  EXPECT_EQ(lp.factor.lu.m, lp.model.num_rows());
+}
+
 // ---- BasisFactor properties ----
 
 /// Dense row-space product B·w over the basis columns (w by position).
@@ -463,6 +586,37 @@ TEST(BasisFactorProperty, StatsReflectFactorizationAndEtas) {
   ASSERT_TRUE(factor.factorize(m, views_of(columns)));
   EXPECT_EQ(factor.stats().factorizations, factorizations + 1);
   EXPECT_EQ(factor.stats().eta_entries, 0);
+}
+
+TEST(BasisFactorProperty, AdoptedLuSolvesLikeItsFactorization) {
+  const int m = 12;
+  Rng rng(test_seed(12));
+  const std::vector<SparseColumn> columns = random_basis(m, rng);
+  BasisFactor fresh;
+  ASSERT_TRUE(fresh.factorize(m, views_of(columns)));
+  // Another factor, mid-solve on a different basis with an eta, adopts
+  // a copy of the fresh LU and must then solve exactly as it does.
+  BasisFactor adopting;
+  ASSERT_TRUE(adopting.factorize(m, views_of(random_basis(m, rng))));
+  std::vector<double> w;
+  adopting.ftran_column(columns[0], w);
+  adopting.append_eta(0, w);
+  adopting.adopt(fresh.lu());
+  EXPECT_EQ(adopting.eta_count(), 0);
+  EXPECT_EQ(adopting.stats().eta_entries, 0);
+  EXPECT_EQ(adopting.stats().lu_entries, fresh.stats().lu_entries);
+  EXPECT_EQ(adopting.prefers_refactor(), fresh.prefers_refactor());
+  for (int trial = 0; trial < 5; ++trial) {
+    std::vector<double> x(m);
+    for (double& v : x) v = -2.0 + 4.0 * rng.uniform();
+    std::vector<double> y = x, bx = x, by = x;
+    fresh.ftran(x);
+    adopting.ftran(bx);
+    fresh.btran(y);
+    adopting.btran(by);
+    EXPECT_EQ(std::memcmp(x.data(), bx.data(), m * sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(y.data(), by.data(), m * sizeof(double)), 0);
+  }
 }
 
 TEST(BasisFactorProperty, FactorizeWorkFollowsFill) {

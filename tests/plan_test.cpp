@@ -99,6 +99,28 @@ TEST(ScenarioLp, WarmStartAfterCapacityIncreaseIsCheap) {
   EXPECT_LE(warm.lp_iterations, 8);
 }
 
+TEST(ScenarioLp, ModelIsSizedExactly) {
+  // The cached evaluators keep every scenario LP resident, so the model
+  // holds no vector growth slack: variables, rows and each row's
+  // coefficients are allocated at their final size. Figure 1 has sites
+  // with no link (rows skipped); B and D have link and site failures.
+  for (const topo::Topology& t :
+       {figure1(), topo::make_preset('B'), topo::make_preset('D')}) {
+    for (const bool aggregate : {true, false}) {
+      for (int scenario = 0; scenario <= t.num_failures(); ++scenario) {
+        const ScenarioLp lp = build_scenario_lp(t, scenario, aggregate);
+        SCOPED_TRACE(::testing::Message() << t.name() << " scenario " << scenario
+                                          << (aggregate ? " aggregated" : " per-flow"));
+        EXPECT_EQ(lp.model.variables().capacity(), lp.model.variables().size());
+        EXPECT_EQ(lp.model.rows().capacity(), lp.model.rows().size());
+        for (const lp::Row& row : lp.model.rows()) {
+          ASSERT_EQ(row.coefficients.capacity(), row.coefficients.size());
+        }
+      }
+    }
+  }
+}
+
 TEST(ScenarioLp, RejectsBadScenarioIndex) {
   topo::Topology t = figure1();
   EXPECT_THROW(build_scenario_lp(t, -1, true), std::invalid_argument);
