@@ -15,6 +15,9 @@ namespace np::core {
 
 namespace {
 
+/// solve_ilp's size limit (see baselines.hpp).
+constexpr int kMaxIlpModelRows = 4000;
+
 std::vector<int> total_from_added(const topo::Topology& topology,
                                   const std::vector<int>& added) {
   std::vector<int> total = topology.initial_units();
@@ -31,7 +34,7 @@ PlanResult solve_ilp(const topo::Topology& topology, const IlpConfig& config) {
   options.aggregate_sources = config.aggregate_sources;
   plan::PlanningMilp milp(topology, options);
 
-  if (milp.model().num_rows() > config.max_model_rows) {
+  if (milp.model().num_rows() > kMaxIlpModelRows) {
     result.timed_out = true;
     result.seconds = watch.seconds();
     result.detail = "ilp: model too large (" +
@@ -109,9 +112,9 @@ PlanResult solve_greedy(const topo::Topology& topology) {
 
   // Shortest-path loads can exceed spectrum or under-serve when paths
   // overlap; verify honestly.
-  plan::PlanEvaluator evaluator(topology, plan::EvaluatorMode::kSourceAggregation);
   result.feasible =
-      evaluator.check(total_from_added(topology, result.added_units)).feasible;
+      plan::check_once(topology, total_from_added(topology, result.added_units))
+          .feasible;
   return result;
 }
 

@@ -25,13 +25,12 @@ struct IlpConfig {
   double time_limit_seconds = 300.0;
   double relative_gap = 1e-4;
   bool aggregate_sources = true;
-  /// Refuse models whose LP relaxation exceeds this many rows: the
-  /// dense-basis simplex cannot make progress on them within any
-  /// sensible budget, so we report the Figure 9 cross immediately
-  /// instead of spinning on the root LP.
-  int max_model_rows = 4000;
 };
 
+/// Refuses models whose LP relaxation has more than 4,000 rows: the
+/// simplex cannot make progress on them within any sensible budget, so
+/// it reports the Figure 9 cross at once instead of spinning on the
+/// root LP.
 PlanResult solve_ilp(const topo::Topology& topology, const IlpConfig& config = {});
 
 struct IlpHeurConfig {

@@ -217,8 +217,7 @@ DecompositionResult solve_region_decomposition(const topo::Topology& topology,
   auto feasible_now = [&]() {
     std::vector<int> total = initial;
     for (int l = 0; l < topology.num_links(); ++l) total[l] += added[l];
-    plan::PlanEvaluator evaluator(topology, plan::EvaluatorMode::kSourceAggregation);
-    return evaluator.check(total).feasible;
+    return plan::check_once(topology, total).feasible;
   };
   bool feasible = feasible_now();
   if (!feasible) {

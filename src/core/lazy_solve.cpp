@@ -16,14 +16,12 @@ LazySolveResult lazy_solve(const topo::Topology& topology,
                            const LazySolveConfig& config) {
   Stopwatch watch;
   LazySolveResult result;
-  plan::PlanEvaluator evaluator(topology, plan::EvaluatorMode::kSourceAggregation);
+  plan::PlanEvaluator evaluator(topology);
 
   auto check_full = [&](const std::vector<int>& added) {
     std::vector<int> total = topology.initial_units();
     for (int l = 0; l < topology.num_links(); ++l) total[l] += added[l];
-    const plan::CheckResult check = evaluator.check(total);
-    evaluator.reset();  // plans are not monotone across rounds
-    return check;
+    return evaluator.check(total);
   };
 
   // Best plan known to satisfy EVERY scenario; seeded with the caller's

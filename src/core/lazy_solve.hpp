@@ -14,6 +14,12 @@
 // Both NeuroPlan's second stage and the ILP-heur baseline run through
 // this helper (ILP-heur additionally coarsens the capacity unit, which
 // is where its optimality loss comes from).
+//
+// All full checks of one call share one stateful evaluator, so scenario
+// models stay resident and warm-start across rounds. A check whose plan
+// only adds units to the one checked before it (a repair's top-up of a
+// round's plan) skips the scenarios that plan survived; other checks
+// start at scenario 0.
 #pragma once
 
 #include <string>

@@ -124,7 +124,7 @@ NeuroPlanResult neuroplan(const topo::Topology& topology,
   // ---- stage 1: RL agent learns to generate plans ----
   rl::A2cTrainer trainer(topology, config.train);
   result.history = trainer.train();
-  if (config.greedy_rollout) (void)trainer.greedy_rollout();
+  (void)trainer.greedy_rollout();
   result.train_seconds = watch.seconds();
 
   if (trainer.has_feasible_plan()) {
@@ -132,7 +132,7 @@ NeuroPlanResult neuroplan(const topo::Topology& topology,
     result.first_stage.added_units = trainer.best_added_units();
     result.first_stage.cost = trainer.best_cost();
     result.first_stage.detail = "rl best plan";
-  } else if (config.fallback_to_greedy) {
+  } else {
     log_warn("neuroplan: RL found no feasible plan; falling back to greedy");
     PlanResult greedy = solve_greedy(topology);
     if (greedy.feasible) {

@@ -24,13 +24,6 @@ struct NeuroPlanConfig {
   /// Second-stage solver budget.
   double ilp_time_limit_seconds = 300.0;
   double ilp_relative_gap = 1e-4;
-  /// Run a deterministic rollout after training to harvest the final
-  /// policy's plan in addition to the best sampled one.
-  bool greedy_rollout = true;
-  /// When RL finds no feasible plan within its budget (possible at tiny
-  /// epoch counts), fall back to the greedy design so the pipeline
-  /// still returns a plan; the result is marked in `detail`.
-  bool fallback_to_greedy = true;
 };
 
 struct NeuroPlanResult {
@@ -41,7 +34,12 @@ struct NeuroPlanResult {
   double ilp_seconds = 0.0;
 };
 
-/// Run the full two-stage pipeline on a topology.
+/// Run the full two-stage pipeline on a topology. After training, one
+/// deterministic rollout harvests the final policy's plan in addition
+/// to the best sampled one. When RL finds no feasible plan within its
+/// budget (possible at tiny epoch counts), the first stage falls back
+/// to the greedy design, marked in its `detail`, so the pipeline still
+/// returns a plan.
 NeuroPlanResult neuroplan(const topo::Topology& topology,
                           const NeuroPlanConfig& config);
 

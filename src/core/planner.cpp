@@ -13,8 +13,7 @@ PlanResult verify_result(const topo::Topology& topology, PlanResult result) {
   }
   std::vector<int> total = topology.initial_units();
   for (int l = 0; l < topology.num_links(); ++l) total[l] += result.added_units[l];
-  plan::PlanEvaluator evaluator(topology, plan::EvaluatorMode::kSourceAggregation);
-  result.feasible = evaluator.check(total).feasible;
+  result.feasible = plan::check_once(topology, total).feasible;
   result.cost = topology.plan_cost(result.added_units);
   return result;
 }

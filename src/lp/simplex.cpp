@@ -1084,7 +1084,8 @@ class Simplex {
     solution.pricing_seconds = pricing_seconds_;
     // Pricing telemetry, accumulated locally and flushed once per solve
     // (the counters are shared atomics; per-iteration adds would put
-    // contended RMWs in the hot loop under the parallel evaluator).
+    // contended RMWs in the hot loop when rollout workers or serve
+    // shards solve concurrently).
     static obs::Counter& scanned = obs::counter("lp.pricing.candidates_scanned");
     static obs::Counter& rebuilds = obs::counter("lp.pricing.heap_rebuilds");
     static obs::Counter& resets = obs::counter("lp.pricing.weight_resets");

@@ -67,7 +67,6 @@ class BranchAndBound {
     solves.add(1);
     Stopwatch watch;
     MilpResult result;
-    try_warm_start(result);
     try_integer_warm_start(result, watch);
 
     std::priority_queue<Node, std::vector<Node>, NodeOrder> open;
@@ -169,29 +168,6 @@ class BranchAndBound {
   bool gap_closed(const MilpResult& result, double bound) const {
     if (!result.has_incumbent) return false;
     return result.objective - bound <= absolute_gap_slack(result.objective);
-  }
-
-  void try_warm_start(MilpResult& result) {
-    const std::vector<double>* start = options_.warm_start;
-    if (start == nullptr) return;
-    if (start->size() != static_cast<std::size_t>(model_.num_variables())) {
-      log_warn("milp: warm start has wrong size; ignored");
-      return;
-    }
-    for (int j : integer_vars_) {
-      if (std::abs((*start)[j] - std::round((*start)[j])) >
-          options_.integrality_tolerance) {
-        log_warn("milp: warm start not integral; ignored");
-        return;
-      }
-    }
-    if (model_.max_violation(*start) > 1e-6) {
-      log_warn("milp: warm start infeasible; ignored");
-      return;
-    }
-    result.has_incumbent = true;
-    result.x = *start;
-    result.objective = model_.objective_value(*start);
   }
 
   void try_integer_warm_start(MilpResult& result, const Stopwatch& watch) {

@@ -36,13 +36,11 @@ struct MilpOptions {
   /// Run the fix-integers-and-resolve rounding heuristic at the root
   /// and then every this many nodes (0 disables).
   int heuristic_interval = 20;
-  /// Optional integer-feasible starting point (size = num_variables).
-  const std::vector<double>* warm_start = nullptr;
   /// Optional integer-only warm start (size = num_variables; continuous
   /// entries ignored): the solver fixes the integer variables to these
   /// values, re-solves the continuous LP, and accepts the result as the
-  /// initial incumbent when feasible. Unlike warm_start, this does not
-  /// require knowing the continuous part of a feasible point.
+  /// initial incumbent when feasible, so the caller need not know the
+  /// continuous part of a feasible point.
   const std::vector<double>* integer_warm_start = nullptr;
   lp::SimplexOptions lp_options;
 };

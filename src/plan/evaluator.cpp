@@ -1,6 +1,7 @@
 #include "plan/evaluator.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -14,7 +15,6 @@ const char* to_string(EvaluatorMode mode) {
     case EvaluatorMode::kVanilla: return "vanilla";
     case EvaluatorMode::kSourceAggregation: return "source-aggregation";
     case EvaluatorMode::kStateful: return "stateful";
-    case EvaluatorMode::kWarmPatched: return "warm-patched";
   }
   return "unknown";
 }
@@ -24,11 +24,6 @@ PlanEvaluator::PlanEvaluator(const topo::Topology& topology, EvaluatorMode mode)
   topology_.validate();
   cached_.resize(num_scenarios());
   lp_options_.max_iterations = 1000000;
-}
-
-void PlanEvaluator::reset() {
-  next_unchecked_ = 0;
-  last_units_.clear();
 }
 
 void PlanEvaluator::set_quarantined(std::vector<int> scenario_ids) {
@@ -68,28 +63,21 @@ CheckResult PlanEvaluator::check_scenario(int scenario,
   }
   CheckResult result;
   ScenarioCheck check;
-  const bool cached_models = mode_ == EvaluatorMode::kStateful ||
-                             mode_ == EvaluatorMode::kWarmPatched;
-  if (cached_models) {
+  if (mode_ == EvaluatorMode::kStateful) {
     if (!cached_[scenario].has_value()) {
       cached_[scenario] = build_scenario_lp(topology_, scenario, aggregate);
     }
     ScenarioLp& lp = *cached_[scenario];
     set_plan_capacities(lp, topology_, total_units);
-    if (mode_ == EvaluatorMode::kWarmPatched) {
-      // Serving boundary: a solve that dies (injected fault, contract
-      // violation, solver error) must identify its scenario so the
-      // caller can retry cold or quarantine it. The cache entry is
-      // dropped first — the retry starts from a fresh model, never the
-      // state that just failed.
-      try {
-        check = solve_scenario(lp, options, /*warm=*/true);
-      } catch (const std::exception& e) {
-        cached_[scenario].reset();
-        throw ScenarioError(scenario, e.what());
-      }
-    } else {
+    // A solve that dies (injected fault, contract violation, solver
+    // error) names its scenario, so a caller can retry cold or
+    // quarantine it. The cache entry is dropped first: the retry starts
+    // from a fresh model, never the state that just failed.
+    try {
       check = solve_scenario(lp, options, /*warm=*/true);
+    } catch (const std::exception& e) {
+      cached_[scenario].reset();
+      throw ScenarioError(scenario, e.what());
     }
   } else {
     ScenarioLp lp = build_scenario_lp(topology_, scenario, aggregate);
@@ -114,18 +102,6 @@ CheckResult PlanEvaluator::check(const std::vector<int>& total_units) {
       throw std::invalid_argument("PlanEvaluator::check: negative units");
     }
   }
-#if NP_CHECKS_ENABLED
-  // Stateful failure checking skips scenarios survived earlier in the
-  // trajectory, which is only sound when capacities never decrease
-  // between checks (§5 precondition; the env's only-add action space
-  // guarantees it, but any other caller must too).
-  if (mode_ == EvaluatorMode::kStateful) {
-    if (!last_units_.empty()) {
-      NP_CHECK_MONOTONE_UNITS(last_units_, total_units, "PlanEvaluator::check");
-    }
-    last_units_ = total_units;
-  }
-#endif
   NP_SPAN("plan.check");
   static obs::Counter& checks = obs::counter("plan.checks");
   static obs::Counter& scenarios_checked = obs::counter("plan.scenarios_checked");
@@ -133,9 +109,18 @@ CheckResult PlanEvaluator::check(const std::vector<int>& total_units) {
   static obs::Counter& deadline_hits = obs::counter("plan.deadline_hits");
   checks.add(1);
   CheckResult aggregate;
-  const int start = mode_ == EvaluatorMode::kStateful ? next_unchecked_ : 0;
-  // Scenarios below `start` were survived earlier in the trajectory and
-  // are short-circuited by stateful checking — the paper's §5 speedup.
+  // Stateful failure checking (§5): when no link lost units since the
+  // previous check, every scenario below next_unchecked_ is still
+  // survived and is skipped; any other plan starts over.
+  const bool stateful = mode_ == EvaluatorMode::kStateful;
+  if (stateful) {
+    const bool grew = last_units_.size() == total_units.size() &&
+                      std::equal(total_units.begin(), total_units.end(),
+                                 last_units_.begin(), std::greater_equal<>());
+    if (!grew) next_unchecked_ = 0;
+    last_units_ = total_units;
+  }
+  const int start = stateful ? next_unchecked_ : 0;
   scenarios_skipped.add(start);
   for (int scenario = start; scenario < num_scenarios(); ++scenario) {
     if (std::binary_search(quarantined_.begin(), quarantined_.end(), scenario)) {
@@ -168,9 +153,10 @@ CheckResult PlanEvaluator::check(const std::vector<int>& total_units) {
       aggregate.verdict = one.verdict;
       aggregate.violated_scenario = scenario;
       aggregate.unserved_gbps = one.unserved_gbps;
-      if (mode_ == EvaluatorMode::kStateful) next_unchecked_ = scenario;
       return aggregate;
     }
+    // Survived; progress stays at a quarantined scenario skipped above.
+    if (stateful && next_unchecked_ == scenario) next_unchecked_ = scenario + 1;
   }
   if (aggregate.quarantined_skipped > 0) {
     // Every solved scenario passed, but skipped ones are unproven:
@@ -182,8 +168,12 @@ CheckResult PlanEvaluator::check(const std::vector<int>& total_units) {
   }
   aggregate.feasible = true;
   aggregate.verdict = Verdict::kFeasible;
-  if (mode_ == EvaluatorMode::kStateful) next_unchecked_ = num_scenarios();
   return aggregate;
+}
+
+CheckResult check_once(const topo::Topology& topology,
+                       const std::vector<int>& total_units) {
+  return PlanEvaluator(topology, EvaluatorMode::kSourceAggregation).check(total_units);
 }
 
 }  // namespace np::plan

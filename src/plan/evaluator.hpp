@@ -1,31 +1,28 @@
 // Plan evaluator (Figure 3 / §5 of the paper).
 //
 // Checks whether a capacity plan satisfies the traffic demand under the
-// reliability policy across all failure scenarios, in one of four
-// implementations: the first three match the paper's Figure 7
-// comparison, the fourth serves arbitrary queries.
+// reliability policy across all failure scenarios, in the three
+// implementations of the paper's Figure 7 comparison:
 //
 //  * kVanilla            — per-flow commodities, every scenario LP is
 //                          rebuilt from scratch on every check.
 //  * kSourceAggregation  — per-source commodities (the SA optimization),
 //                          still rebuilding models each check.
 //  * kStateful           — SA plus stateful failure checking: scenario
-//                          models are built once and patched, scenarios
-//                          survived earlier in a monotone trajectory are
-//                          skipped, and solves warm-start from the
-//                          previous basis.
-//  * kWarmPatched        — SA with resident patched models and warm
-//                          starts like kStateful, but no monotone skip
-//                          and no monotonicity precondition: every
-//                          scenario is re-checked each call, so
-//                          arbitrary (non-monotone) plan queries are
-//                          valid. The serving mode: np::serve workers
-//                          keep one kWarmPatched evaluator resident per
-//                          shard.
+//                          models are built once and patched, solves
+//                          warm-start from the previous basis, and
+//                          scenarios survived earlier are skipped.
 //
-// Stateful mode relies on capacities never decreasing between checks of
-// one trajectory (the paper's only-add action design); call reset()
-// when a new trajectory starts from the initial topology.
+// kStateful is the default, used by every caller that checks more than
+// one plan. check_once() checks a lone plan with kSourceAggregation;
+// kVanilla remains only as Fig. 7's comparison and a test reference.
+//
+// The §5 skip is decided from the plans alone: a check whose plan has
+// at least as many units on every link as the previous check's resumes
+// at the first scenario not yet survived, since capacity that only grew
+// keeps every survived scenario feasible. Any other plan (a new RL
+// trajectory, a what-if query, a stage-2 round) starts at scenario 0,
+// so any sequence of plans gets the verdicts of fresh models.
 #pragma once
 
 #include <memory>
@@ -40,9 +37,9 @@
 
 namespace np::plan {
 
-enum class EvaluatorMode { kVanilla, kSourceAggregation, kStateful, kWarmPatched };
+enum class EvaluatorMode { kVanilla, kSourceAggregation, kStateful };
 
-/// Thrown by kWarmPatched checks when one scenario's solve dies on an
+/// Thrown by kStateful checks when one scenario's solve dies on an
 /// exception (injected fault, contract violation, solver error): the
 /// failing scenario id rides along so a serving layer can retry cold or
 /// quarantine exactly that scenario instead of the whole query. The
@@ -81,6 +78,8 @@ struct CheckResult {
   /// > 0 forces verdict kUnknown even when every solved scenario passed
   /// — skipped scenarios are unproven, never assumed feasible.
   int quarantined_skipped = 0;
+  /// Scenarios solved in this check; those the §5 skip or a quarantine
+  /// passed over are not counted.
   int scenarios_checked = 0;
   long lp_iterations = 0;
   /// Wall-clock seconds spent inside lp::solve for this check.
@@ -93,12 +92,8 @@ class PlanEvaluator {
                          EvaluatorMode mode = EvaluatorMode::kStateful);
 
   /// Check the plan (per-link TOTAL units). Stops at the first violated
-  /// scenario. In kStateful mode assumes units are >= those of the
-  /// previous check since reset().
+  /// scenario. Any plan may follow any other (see the §5 skip above).
   CheckResult check(const std::vector<int>& total_units);
-
-  /// Forget stateful progress (start of a new trajectory).
-  void reset();
 
   /// Wall-clock budget per scenario solve, in seconds; <= 0 means
   /// unlimited. Scenario LPs are always iteration-capped — this adds a
@@ -124,7 +119,7 @@ class PlanEvaluator {
   void set_quarantined(std::vector<int> scenario_ids);
 
   /// Drop one scenario's cached model and warm basis so its next solve
-  /// is a cold rebuild (kStateful / kWarmPatched caches only).
+  /// is a cold rebuild (kStateful only).
   void invalidate_scenario(int scenario);
 
   /// Scenarios = 1 (healthy) + failures.
@@ -148,15 +143,23 @@ class PlanEvaluator {
   double scenario_budget_seconds_ = 0.0;  ///< <= 0 = unlimited
   util::Deadline check_deadline_;         ///< default = unlimited
   std::vector<int> quarantined_;          ///< scenario ids to skip
-  /// Lazily built, patched models (kStateful / kWarmPatched only).
+  /// Lazily built, patched models (kStateful only).
   std::vector<std::optional<ScenarioLp>> cached_;
-  int next_unchecked_ = 0;  ///< kStateful: scenarios before this survived
+  /// kStateful: the previous check's units. Every scenario below
+  /// next_unchecked_ survived a plan with at most these units on every
+  /// link; a quarantined scenario skipped unproven stops it.
+  std::vector<int> last_units_;
+  int next_unchecked_ = 0;
   long total_lp_iterations_ = 0;
   double total_lp_seconds_ = 0.0;
-  /// Units of the previous check since reset(); tracked only when the
-  /// contract layer is compiled in, to enforce the kStateful
-  /// capacity-monotonicity precondition (§5).
-  std::vector<int> last_units_;
 };
+
+/// Check a single plan on fresh models (kSourceAggregation), one
+/// scenario LP alive at a time. For callers with one plan to check: a
+/// kStateful evaluator would keep every scenario LP it built, which a
+/// lone check never reuses, and the freed models stay resident (about
+/// 4 MiB on preset E).
+CheckResult check_once(const topo::Topology& topology,
+                       const std::vector<int>& total_units);
 
 }  // namespace np::plan

@@ -207,7 +207,7 @@ ScenarioCheck solve_scenario(ScenarioLp& lp, const lp::SimplexOptions& base_opti
   static obs::Counter& scenario_solves = obs::counter("plan.scenario_solves");
   scenario_solves.add(1);
   lp::SimplexOptions options = base_options;
-  options.warm_start = (use_warm_start && lp.has_basis) ? &lp.basis : nullptr;
+  options.warm_start = (use_warm_start && !lp.basis.empty()) ? &lp.basis : nullptr;
   lp::KeptFactor* kept = use_warm_start ? &lp.factor : nullptr;
   const bool attempted_warm = options.warm_start != nullptr;
   lp::Solution solution = lp::solve(lp.model, options, kept);
@@ -270,7 +270,6 @@ ScenarioCheck solve_scenario(ScenarioLp& lp, const lp::SimplexOptions& base_opti
     return check;
   }
   lp.basis = solution.basis;
-  lp.has_basis = true;
   check.unserved_gbps = solution.objective;
   check.feasible = solution.objective <= 1e-6 * std::max(1.0, lp.total_demand);
   check.verdict = check.feasible ? Verdict::kFeasible : Verdict::kInfeasible;

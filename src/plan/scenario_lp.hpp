@@ -35,9 +35,8 @@ struct ScenarioLp {
   std::vector<int> capacity_row;  // size 2 * num_links, dir-major: 2*l + dir
   /// Total demand that must be served in this scenario (Gbps).
   double total_demand = 0.0;
-  /// Warm-start basis of the previous solve.
+  /// Warm-start basis of the previous solve; empty before the first.
   lp::Basis basis;
-  bool has_basis = false;
   /// LU of the basis the previous warm solve ended on, when the next
   /// warm start can adopt it instead of refactorizing (lp::KeptFactor).
   /// Only the row bounds of `model` are ever patched, so it stays valid.

@@ -23,7 +23,7 @@ PlanningEnv::PlanningEnv(const topo::Topology& topology, const EnvConfig& config
     : topology_(topology),
       config_(config),
       transform_(topo::node_link_transform(topology)),
-      evaluator_(topology, plan::EvaluatorMode::kStateful),
+      evaluator_(topology),
       initial_units_(topology.initial_units()) {
   if (config.max_units_per_step < 1) {
     throw std::invalid_argument("PlanningEnv: max_units_per_step must be >= 1");
@@ -46,7 +46,6 @@ void PlanningEnv::reset() {
   units_ = initial_units_;
   steps_ = 0;
   done_ = false;
-  evaluator_.reset();
 }
 
 la::Matrix PlanningEnv::features() const {

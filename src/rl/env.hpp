@@ -101,7 +101,9 @@ class PlanningEnv {
   EnvConfig config_;
   topo::TransformedGraph transform_;
   /// Stateful checking (§5): the env only adds capacity within a
-  /// trajectory, so survived scenarios are skipped until reset().
+  /// trajectory, so each step's check skips the scenarios the
+  /// trajectory already survived. The first check after reset()
+  /// normally has fewer units than the last and starts over.
   plan::PlanEvaluator evaluator_;
   std::vector<int> units_;
   std::vector<int> initial_units_;

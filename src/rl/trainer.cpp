@@ -226,41 +226,6 @@ void A2cTrainer::update_critic(const std::vector<StepRecord>& buffer,
   critic_optimizer_.step();
 }
 
-A2cTrainer::PolicyEvaluation A2cTrainer::evaluate_policy(int rollouts) {
-  if (rollouts < 1) throw std::invalid_argument("evaluate_policy: rollouts < 1");
-  PolicyEvaluation eval;
-  eval.rollouts = rollouts;
-  double cost_sum = 0.0;
-  double best = kUnset;
-  for (int r = 0; r < rollouts; ++r) {
-    env_.reset();
-    while (!env_.done()) {
-      const la::Matrix features = env_.features();
-      const std::vector<std::uint8_t> mask = env_.action_mask();
-      tape_.clear();
-      const double* log_probs = tape_.data(
-          network_.policy_log_probs(tape_, env_.adjacency(), features, mask));
-      const StepResult step = env_.step(sample_from_log_probs(log_probs, mask, rng_));
-      if (step.feasible) {
-        ++eval.feasible;
-        const double cost = env_.added_cost();
-        cost_sum += cost;
-        best = std::min(best, cost);
-        if (cost < best_cost_) {
-          best_cost_ = cost;
-          best_added_ = env_.added_units();
-        }
-      }
-    }
-  }
-  env_.reset();
-  if (eval.feasible > 0) {
-    eval.best_cost = best;
-    eval.mean_cost = cost_sum / eval.feasible;
-  }
-  return eval;
-}
-
 bool A2cTrainer::greedy_rollout() {
   env_.reset();
   bool feasible = false;

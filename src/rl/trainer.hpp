@@ -16,12 +16,12 @@
 // Every step's parameter-leaf gradients reach Parameter::grad in step
 // order whatever the chunk size, so the gradient of the epoch loss, and
 // each Adam step, is the same bit for bit. Acting runs on tapes too:
-// the rollout workers' own (rl/rollout.hpp), and for evaluate_policy /
-// greedy_rollout the trainer's, cleared before every policy forward.
+// the rollout workers' own (rl/rollout.hpp), and for greedy_rollout
+// the trainer's, cleared before every policy forward.
 //
 // Concurrency model: the trainer is single-threaded orchestration.
-// Parallelism lives below it — rollout workers own disjoint env/RNG
-// state and the parallel evaluator owns per-thread LP caches — so the
+// Parallelism lives below it — each rollout worker owns its env (with
+// that env's plan evaluator and LP caches) and RNG stream — so the
 // trainer itself holds no locks and has nothing to NP_GUARDED_BY.
 // Checkpoint save/load (checkpoint.cpp) likewise runs only between
 // epochs, when no worker is in flight.
@@ -121,19 +121,6 @@ class A2cTrainer {
   /// Epochs completed so far (nonzero after a resume).
   int epochs_completed() const { return epoch_counter_; }
 
-  /// Evaluate the current stochastic policy without learning: run
-  /// `rollouts` sampled trajectories and report how many reached
-  /// feasibility and the cost statistics of those that did. Also feeds
-  /// the best-plan tracker. Useful for monitoring and for comparing
-  /// checkpoints.
-  struct PolicyEvaluation {
-    int rollouts = 0;
-    int feasible = 0;
-    double best_cost = 0.0;   ///< cheapest feasible cost seen (0 if none)
-    double mean_cost = 0.0;   ///< mean over feasible rollouts (0 if none)
-  };
-  PolicyEvaluation evaluate_policy(int rollouts);
-
   /// Deterministic rollout with the current policy (argmax actions).
   /// Updates the best plan when it finds a cheaper feasible one, and
   /// returns true when the rollout reached feasibility. This is how the
@@ -165,7 +152,7 @@ class A2cTrainer {
   ad::Adam critic_optimizer_;
   std::unique_ptr<RolloutWorkers> rollout_;
   /// One tape for every update chunk of every epoch and every acting
-  /// forward of evaluate_policy / greedy_rollout: its node storage
+  /// forward of greedy_rollout: its node storage
   /// grows inside the first update and is reused after that.
   ad::Tape tape_;
   std::vector<ad::Tensor> chunk_outputs_;  ///< per-step log-probs / values

@@ -164,7 +164,7 @@ void Engine::worker_loop(int worker_index) {
             "Engine::worker_loop: shard ", worker_index, " out of range");
   // One resident evaluator per shard: scenario models built on first
   // touch, patched and warm-started for every later query.
-  plan::PlanEvaluator evaluator(topology_, plan::EvaluatorMode::kWarmPatched);
+  plan::PlanEvaluator evaluator(topology_);
   if (config_.scenario_budget_s > 0.0) {
     evaluator.set_scenario_budget(config_.scenario_budget_s);
   }

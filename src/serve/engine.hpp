@@ -18,10 +18,11 @@
 //             subsequent checks (serve.quarantined); queries touching
 //             it keep answering DEGRADED instead of crashing the shard
 //
-// Each worker shard owns a resident kWarmPatched PlanEvaluator: models
+// Each worker shard owns one resident stateful PlanEvaluator: models
 // built once, patched per query, warm-started — the paper's stateful
-// checking machinery reused for serving, minus the monotonicity
-// precondition that arbitrary what-if queries would violate.
+// checking reused for serving. A query with at least the units of the
+// shard's previous query on every link skips the scenarios that query
+// survived; any other query is checked from scenario 0.
 #pragma once
 
 #include <atomic>

@@ -69,6 +69,7 @@ struct Reply {
   std::string verdict;
   double cost = 0.0;
   double unserved_gbps = 0.0;
+  /// Scenarios the check solved; those it skipped (§5) are not counted.
   int scenarios_checked = 0;
   int quarantined = 0;  ///< scenarios skipped as quarantined
   int retries = 0;      ///< cold-basis retries spent on this query

@@ -128,20 +128,6 @@ void check_action_mask(const std::vector<std::uint8_t>& mask,
   }
 }
 
-void check_monotone_units(const std::vector<int>& previous,
-                          const std::vector<int>& current, const char* where) {
-  if (previous.size() != current.size()) {
-    fail(where, detail::concat("unit vector size changed: ", previous.size(),
-                               " -> ", current.size()));
-  }
-  for (std::size_t l = 0; l < current.size(); ++l) {
-    if (current[l] < previous[l]) {
-      fail(where, detail::concat("capacity decreased on link ", l, ": ",
-                                 previous[l], " -> ", current[l]));
-    }
-  }
-}
-
 void check_lu(int dim,
               const std::vector<std::vector<std::pair<int, double>>>& lower,
               const std::vector<std::vector<std::pair<int, double>>>& upper,

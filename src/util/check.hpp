@@ -71,11 +71,6 @@ void check_action_mask(const std::vector<std::uint8_t>& mask,
                        const std::vector<int>& headroom_units,
                        int max_units_per_step, const char* where);
 
-/// Capacity monotonicity (stateful failure checking precondition, paper
-/// §5): current must be entry-wise >= previous and equally sized.
-void check_monotone_units(const std::vector<int>& previous,
-                          const std::vector<int>& current, const char* where);
-
 /// Matrix-shape invariant for nn parameter plumbing: actual dims must
 /// equal the expected dims, where an expected value of -1 is a
 /// wildcard (any extent). Used for GCN/GAT/linear layer inputs whose
@@ -133,8 +128,6 @@ std::string concat(const Args&... args) {
   ::np::util::check_finite((data), (count), (where))
 #define NP_CHECK_ACTION_MASK(mask, headroom, max_units, where) \
   ::np::util::check_action_mask((mask), (headroom), (max_units), (where))
-#define NP_CHECK_MONOTONE_UNITS(previous, current, where) \
-  ::np::util::check_monotone_units((previous), (current), (where))
 #define NP_CHECK_LU(dim, lower, upper, diag, permuted_columns, tolerance, where) \
   ::np::util::check_lu((dim), (lower), (upper), (diag), (permuted_columns),      \
                        (tolerance), (where))
@@ -153,7 +146,6 @@ std::string concat(const Args&... args) {
   ((void)0)
 #define NP_CHECK_FINITE(data, count, where) ((void)0)
 #define NP_CHECK_ACTION_MASK(mask, headroom, max_units, where) ((void)0)
-#define NP_CHECK_MONOTONE_UNITS(previous, current, where) ((void)0)
 #define NP_CHECK_LU(dim, lower, upper, diag, permuted_columns, tolerance, where) \
   ((void)0)
 #define NP_CHECK_DIMS(rows, cols, expected_rows, expected_cols, where) ((void)0)

@@ -1,5 +1,5 @@
 // Minimal leveled logger. Thread-safe: worker threads (rollout
-// workers, parallel evaluator groups) log concurrently, so each line
+// workers, serve shards) log concurrently, so each line
 // is written to stderr under a process-wide mutex and the level
 // threshold is atomic. Formatting happens outside the lock.
 #pragma once

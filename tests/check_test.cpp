@@ -14,7 +14,6 @@
 #include "ad/tape.hpp"
 #include "la/matrix.hpp"
 #include "la/sparse.hpp"
-#include "plan/evaluator.hpp"
 #include "rl/env.hpp"
 #include "topo/generator.hpp"
 #include "util/check.hpp"
@@ -93,17 +92,6 @@ TEST(CheckValidators, ActionMaskAgreesWithHeadroom) {
                ContractViolation);  // wrong size
 }
 
-// ---- capacity-monotonicity validator ----
-
-TEST(CheckValidators, MonotoneUnitsRejectsDecrease) {
-  EXPECT_NO_THROW(util::check_monotone_units({1, 2}, {1, 2}, "test"));
-  EXPECT_NO_THROW(util::check_monotone_units({1, 2}, {3, 2}, "test"));
-  EXPECT_THROW(util::check_monotone_units({1, 2}, {1, 1}, "test"),
-               ContractViolation);  // capacity-decreasing plan
-  EXPECT_THROW(util::check_monotone_units({1, 2}, {1, 2, 3}, "test"),
-               ContractViolation);  // size change
-}
-
 // ---- matrix-dimension validator (nn feature-width contracts) ----
 
 TEST(CheckValidators, DimsAcceptsMatchAndWildcard) {
@@ -155,24 +143,6 @@ TEST(CheckMacros, SpmmPropagatedNanIsCaughtWhenEnabled) {
   } else {
     EXPECT_NO_THROW(tape.spmm(adjacency, features));
   }
-}
-
-TEST(CheckMacros, StatefulEvaluatorRejectsCapacityDecreaseWhenEnabled) {
-  const topo::Topology t = topo::make_preset('A');
-  plan::PlanEvaluator eval(t, plan::EvaluatorMode::kStateful);
-  std::vector<int> units = t.initial_units();
-  for (int& u : units) u += 1;
-  (void)eval.check(units);
-  std::vector<int> decreased = units;
-  decreased[0] -= 1;  // violates the §5 stateful precondition
-  if (util::kChecksEnabled) {
-    EXPECT_THROW(eval.check(decreased), ContractViolation);
-  } else {
-    EXPECT_NO_THROW(eval.check(decreased));
-  }
-  // After reset() smaller capacities are legal again in any build.
-  eval.reset();
-  EXPECT_NO_THROW(eval.check(decreased));
 }
 
 // ---- LU factorization validator ----

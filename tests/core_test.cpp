@@ -166,7 +166,6 @@ TEST(NeuroPlan, GreedyFallbackWhenRlBudgetTooSmall) {
   config.train.epochs = 1;
   config.train.steps_per_epoch = 4;   // far too few to find a plan
   config.train.env.max_trajectory_steps = 2;
-  config.fallback_to_greedy = true;
   NeuroPlanResult r = neuroplan(t, config);
   ASSERT_TRUE(r.first_stage.feasible);
   EXPECT_NE(r.first_stage.detail.find("greedy"), std::string::npos);

@@ -4,12 +4,15 @@
 // NEUROPLAN_FAULTS=ON and skip elsewhere.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "ad/snapshot.hpp"
 #include "lp/simplex.hpp"
 #include "obs/metrics.hpp"
+#include "plan/evaluator.hpp"
 #include "plan/scenario_lp.hpp"
 #include "rl/trainer.hpp"
 #include "temp_path.hpp"
@@ -230,7 +233,6 @@ TEST_F(FaultTest, LpRefactorFaultInAReusedLuSolveLeavesNoKeptLu) {
   plan::ScenarioLp fresh = plan::build_scenario_lp(t, plan::kHealthyScenario, true);
   plan::set_plan_capacities(fresh, t, none);
   fresh.basis = lp.basis;
-  fresh.has_basis = true;
   const plan::ScenarioCheck after = plan::solve_scenario(lp, {}, true);
   const plan::ScenarioCheck want = plan::solve_scenario(fresh, {}, true);
   EXPECT_EQ(after.verdict, want.verdict);
@@ -238,6 +240,61 @@ TEST_F(FaultTest, LpRefactorFaultInAReusedLuSolveLeavesNoKeptLu) {
   EXPECT_EQ(after.lp_iterations, want.lp_iterations);
   EXPECT_EQ(lp.basis.statuses, fresh.basis.statuses);
   EXPECT_EQ(lp.factor.basis, fresh.factor.basis);
+}
+
+TEST_F(FaultTest, LpRefactorFaultInAnEnvStepThrowsScenarioError) {
+  if (!NP_FAULTS_ENABLED) GTEST_SKIP() << "built without NEUROPLAN_FAULTS";
+  const topo::Topology t = topo::make_preset('A');
+  rl::EnvConfig config;
+  config.max_units_per_step = 4;
+  // Two envs take the same actions; only `env` sees the fault.
+  rl::PlanningEnv env(t, config);
+  rl::PlanningEnv twin(t, config);
+  auto first_valid_action = [](const rl::PlanningEnv& e) {
+    const std::vector<std::uint8_t> mask = e.action_mask();
+    for (std::size_t a = 0; a < mask.size(); ++a) {
+      if (mask[a]) return static_cast<int>(a);
+    }
+    return -1;
+  };
+  const int action = first_valid_action(env);
+  ASSERT_GE(action, 0);
+  ASSERT_FALSE(env.step(action).done);
+  ASSERT_FALSE(twin.step(action).done);
+  plan::PlanEvaluator reference(t, plan::EvaluatorMode::kSourceAggregation);
+  const int failed = reference.check(env.total_units()).violated_scenario;
+  ASSERT_GE(failed, 0);
+
+  // The next step dominates the first, so its check resumes at the
+  // scenario the first failed; that solve's first refactorization dies.
+  FaultInjector::instance().arm("lp.refactor", FaultSpec{0.0, 1});
+  try {
+    (void)env.step(action);
+    ADD_FAILURE() << "the injected fault did not surface";
+  } catch (const plan::ScenarioError& e) {
+    EXPECT_EQ(e.scenario(), failed);
+    EXPECT_NE(std::string(e.what()).find("lp.refactor"), std::string::npos);
+  }
+  FaultInjector::instance().disarm_all();
+  ASSERT_FALSE(twin.step(action).done);
+
+  // The following step starts at that scenario on a fresh model: no
+  // scenario it solves has a basis to warm-start from, while the twin's
+  // step warm-starts the scenario its previous check failed.
+  obs::Counter& warm_hits = obs::counter("plan.warm_start_hits");
+  obs::Counter& warm_misses = obs::counter("plan.warm_start_misses");
+  auto warm_attempts = [&] { return warm_hits.value() + warm_misses.value(); };
+  const int next = first_valid_action(env);
+  ASSERT_EQ(next, first_valid_action(twin));
+  long before = warm_attempts();
+  const rl::StepResult got = env.step(next);
+  EXPECT_EQ(warm_attempts(), before);
+  before = warm_attempts();
+  const rl::StepResult want = twin.step(next);
+  EXPECT_GT(warm_attempts(), before);
+  EXPECT_EQ(got.done, want.done);
+  EXPECT_EQ(got.feasible, want.feasible);
+  EXPECT_EQ(env.total_units(), twin.total_units());
 }
 
 TEST_F(FaultTest, RolloutStepFaultAbortsEpochAndTrainerRecovers) {

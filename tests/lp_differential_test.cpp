@@ -304,11 +304,8 @@ TEST(Pricing, WeightInvariantsHoldUnderFrequentRefactorization) {
 /// refreshing lp.factor.
 Solution warm_step(plan::ScenarioLp& lp) {
   Solution solution =
-      solve(lp.model, solver_options(lp.has_basis ? &lp.basis : nullptr), &lp.factor);
-  if (solution.status == SolveStatus::kOptimal) {
-    lp.basis = solution.basis;
-    lp.has_basis = true;
-  }
+      solve(lp.model, solver_options(lp.basis.empty() ? nullptr : &lp.basis), &lp.factor);
+  if (solution.status == SolveStatus::kOptimal) lp.basis = solution.basis;
   return solution;
 }
 

@@ -90,17 +90,27 @@ TEST(Milp, UnboundedDetected) {
 }
 
 TEST(Milp, TimeLimitKeepsIncumbent) {
+  // Jeroslow's knapsack: 2·(x_1 + ... + x_n) <= n with n odd. Its
+  // optimum takes (n-1)/2 items, but the LP bound stays half an item
+  // better at every node that leaves a variable free, so proving
+  // optimality takes exponentially many nodes. The time limit stops the
+  // search with the integer warm start, already optimal, as incumbent.
+  constexpr int kItems = 31;
   lp::Model m;
-  const int x = add_integer(m, 0.0, 9.0, -1.0);
-  m.add_row(-kInfinity, 7.2, {{x, 1.0}});
+  std::vector<lp::Coefficient> coefficients;
+  for (int j = 0; j < kItems; ++j) {
+    coefficients.push_back({add_integer(m, 0.0, 1.0, -1.0), 2.0});
+  }
+  m.add_row(-kInfinity, kItems, std::move(coefficients));
+  std::vector<double> start(kItems, 0.0);
+  for (int j = 0; j < kItems / 2; ++j) start[j] = 1.0;
   MilpOptions options;
-  options.time_limit_seconds = 0.0;
-  std::vector<double> start = {3.0};
-  options.warm_start = &start;
+  options.time_limit_seconds = 0.1;
+  options.integer_warm_start = &start;
   MilpResult r = np::milp::solve(m, options);
   EXPECT_EQ(r.status, MilpStatus::kTimeLimit);
   EXPECT_TRUE(r.has_incumbent);
-  EXPECT_NEAR(r.objective, -3.0, 1e-9);
+  EXPECT_NEAR(r.objective, -(kItems / 2), 1e-9);
 }
 
 TEST(Milp, NodeLimitReported) {
@@ -118,42 +128,6 @@ TEST(Milp, NodeLimitReported) {
   options.heuristic_interval = 0;
   MilpResult r = np::milp::solve(m, options);
   EXPECT_TRUE(r.status == MilpStatus::kNodeLimit || r.status == MilpStatus::kOptimal);
-}
-
-TEST(Milp, WarmStartAcceptedAndImproved) {
-  lp::Model m;
-  const int x = add_integer(m, 0.0, 10.0, -1.0);
-  m.add_row(-kInfinity, 6.3, {{x, 1.0}});
-  std::vector<double> start = {2.0};  // feasible but suboptimal
-  MilpOptions options;
-  options.warm_start = &start;
-  MilpResult r = np::milp::solve(m, options);
-  ASSERT_EQ(r.status, MilpStatus::kOptimal);
-  EXPECT_NEAR(r.objective, -6.0, 1e-7);
-}
-
-TEST(Milp, InfeasibleWarmStartIgnored) {
-  lp::Model m;
-  const int x = add_integer(m, 0.0, 10.0, -1.0);
-  m.add_row(-kInfinity, 6.3, {{x, 1.0}});
-  std::vector<double> start = {9.0};  // violates the row
-  MilpOptions options;
-  options.warm_start = &start;
-  MilpResult r = np::milp::solve(m, options);
-  ASSERT_EQ(r.status, MilpStatus::kOptimal);
-  EXPECT_NEAR(r.objective, -6.0, 1e-7);
-}
-
-TEST(Milp, FractionalWarmStartIgnored) {
-  lp::Model m;
-  const int x = add_integer(m, 0.0, 10.0, -1.0);
-  m.add_row(-kInfinity, 6.3, {{x, 1.0}});
-  std::vector<double> start = {2.5};
-  MilpOptions options;
-  options.warm_start = &start;
-  MilpResult r = np::milp::solve(m, options);
-  ASSERT_EQ(r.status, MilpStatus::kOptimal);
-  EXPECT_NEAR(r.objective, -6.0, 1e-7);
 }
 
 TEST(Milp, GapIsReportedAsClosedAtOptimum) {

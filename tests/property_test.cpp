@@ -146,14 +146,14 @@ TEST(CosPolicy, SilverFlowsAreNotProtectedUnderFailures) {
   t.add_flow({0, 2, 100.0, topo::CoS::kSilver});
   t.add_failure({{f_ad}, {}, "cut-direct"});
 
-  plan::PlanEvaluator eval(t, plan::EvaluatorMode::kSourceAggregation);
+  // One default (stateful) evaluator for three plans, none of which
+  // dominates the one before it.
+  plan::PlanEvaluator eval(t);
   // 1 unit each: healthy needs 200G -> ok (two 100G paths); under the
   // cut only gold's 100G must fit the surviving link -> feasible.
   EXPECT_TRUE(eval.check({1, 1}).feasible);
-  eval.reset();
   // 2 + 0: healthy ok (200G on A-B-D), failure trivially ok.
   EXPECT_TRUE(eval.check({2, 0}).feasible);
-  eval.reset();
   // 0 + 2: healthy ok, but the cut kills everything -> gold unserved.
   plan::CheckResult r = eval.check({0, 2});
   EXPECT_FALSE(r.feasible);

@@ -337,25 +337,6 @@ TEST(History, CsvExportRoundTrips) {
                std::runtime_error);
 }
 
-TEST(Trainer, EvaluatePolicyReportsStatistics) {
-  topo::Topology t = small_topology();
-  TrainConfig c = smoke_config();
-  c.epochs = 2;
-  A2cTrainer trainer(t, c);
-  trainer.train();
-  const A2cTrainer::PolicyEvaluation eval = trainer.evaluate_policy(4);
-  EXPECT_EQ(eval.rollouts, 4);
-  EXPECT_GE(eval.feasible, 0);
-  EXPECT_LE(eval.feasible, 4);
-  if (eval.feasible > 0) {
-    EXPECT_GT(eval.best_cost, 0.0);
-    EXPECT_GE(eval.mean_cost, eval.best_cost);
-    // Best plan tracker can only have improved.
-    EXPECT_LE(trainer.best_cost(), eval.best_cost + 1e-9);
-  }
-  EXPECT_THROW(trainer.evaluate_policy(0), std::invalid_argument);
-}
-
 void expect_epochs_identical(const std::vector<EpochStats>& a,
                              const std::vector<EpochStats>& b) {
   ASSERT_EQ(a.size(), b.size());

@@ -26,7 +26,7 @@
 //                             the bound port is printed on stdout)
 //   --stdio                   serve one session on stdin/stdout (tests)
 //   --workers <n>             worker shards, each with a resident
-//                             warm-patched evaluator (default 1)
+//                             stateful evaluator (default 1)
 //   --queue-capacity <n>      admission queue bound (default 128)
 //   --deadline-ms <x>         default per-query deadline when the
 //                             request carries none (0 = unlimited)
