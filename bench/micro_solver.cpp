@@ -69,16 +69,18 @@ void BM_FactorizeScenarioBasis(benchmark::State& state) {
   }
   const int n = lp.model.num_variables();
   const int m = lp.model.num_rows();
-  std::vector<lp::SparseColumn> columns(n + m);
-  for (int r = 0; r < m; ++r) {
-    for (const auto& [var, coeff] : lp.model.row(r).coefficients) {
-      if (coeff != 0.0) columns[var].push_back({r, coeff});
-    }
-    columns[n + r].push_back({r, -1.0});
-  }
+  const lp::SparseLines& structural = lp.model.columns();
+  std::vector<lp::Coefficient> slacks(m);
+  for (int r = 0; r < m; ++r) slacks[r] = {r, -1.0};
   std::vector<lp::ColumnView> basis;
   for (int j = 0; j < n + m; ++j) {
-    if (solved.basis.statuses[j] == lp::VarStatus::kBasic) basis.emplace_back(columns[j]);
+    if (solved.basis.statuses[j] != lp::VarStatus::kBasic) continue;
+    if (j < n) {
+      const auto column = structural.line(j);
+      basis.emplace_back(column.data(), static_cast<int>(column.size()));
+    } else {
+      basis.emplace_back(&slacks[j - n], 1);
+    }
   }
   lp::BasisFactor factor;
   for (auto _ : state) {

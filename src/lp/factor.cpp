@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <numeric>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
@@ -199,6 +200,14 @@ void BasisFactor::adopt(LuFactors lu) {
   stats_.eta_entries = 0;
   stats_.lu_entries = static_cast<long>(lu_.lower_entries.size()) +
                       static_cast<long>(lu_.upper_entries.size()) + lu_.m;
+}
+
+LuFactors BasisFactor::release() {
+  etas_.clear();
+  eta_entries_.clear();
+  stats_.eta_entries = 0;
+  stats_.lu_entries = 0;
+  return std::exchange(lu_, LuFactors{});
 }
 
 void BasisFactor::lower_solve(std::vector<double>& x) const {

@@ -98,17 +98,22 @@ class BasisFactor {
   /// singular (no pivot above the absolute tolerance in some column).
   bool factorize(int m, const std::vector<ColumnView>& columns);
 
-  /// Install `lu`, read out by lu() after an earlier factorize() of the
-  /// same columns in the same order, as if factorize() had just rebuilt
-  /// it. factorize() is a pure function of its columns, so every later
-  /// solve is bit-identical to one after a refactorization. Clears the
-  /// eta file.
+  /// Install `lu`, read out by lu() or release() after an earlier
+  /// factorize() of the same columns in the same order, as if
+  /// factorize() had just rebuilt it. factorize() is a pure function of
+  /// its columns, so every later solve is bit-identical to one after a
+  /// refactorization. Clears the eta file.
   void adopt(LuFactors lu);
 
   /// The current factorization, valid after a successful factorize()
   /// or adopt(). With no eta appended since, it alone represents the
   /// current basis.
   const LuFactors& lu() const { return lu_; }
+
+  /// Hand the current factorization over, as lu() reads it, leaving the
+  /// factor empty (dimension 0, no eta file) until the next factorize()
+  /// or adopt().
+  LuFactors release();
 
   /// FTRAN with a dense right-hand side: x := B^{-1} x. Input indexed
   /// by row, output by basis position.

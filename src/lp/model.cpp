@@ -1,12 +1,32 @@
 #include "lp/model.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
 
 namespace np::lp {
 
+SparseLines transpose(const SparseLines& lines, int count) {
+  const int num_lines = static_cast<int>(lines.start.size()) - 1;
+  SparseLines out;
+  out.start.assign(count + 1, 0);
+  for (const auto& [index, coeff] : lines.entries) {
+    if (coeff != 0.0) ++out.start[index + 1];
+  }
+  for (int i = 0; i < count; ++i) out.start[i + 1] += out.start[i];
+  out.entries.resize(out.start[count]);
+  std::vector<int> cursor(out.start.begin(), out.start.end() - 1);
+  for (int k = 0; k < num_lines; ++k) {
+    for (const auto& [index, coeff] : lines.line(k)) {
+      if (coeff != 0.0) out.entries[cursor[index]++] = {k, coeff};
+    }
+  }
+  return out;
+}
+
 int Model::add_variable(double lower, double upper, double objective) {
+  check_not_compressed("add_variable");
   if (lower > upper) throw std::invalid_argument("Model: variable lower > upper");
   if (!std::isfinite(objective)) throw std::invalid_argument("Model: non-finite objective");
   variables_.push_back({lower, upper, objective, false});
@@ -14,18 +34,37 @@ int Model::add_variable(double lower, double upper, double objective) {
 }
 
 int Model::add_row(double lower, double upper, std::vector<Coefficient> coefficients) {
+  check_not_compressed("add_row");
   if (lower > upper) throw std::invalid_argument("Model: row lower > upper");
   for (const auto& [var, coeff] : coefficients) {
     check_variable_index(var);
     if (!std::isfinite(coeff)) throw std::invalid_argument("Model: non-finite coefficient");
   }
-  rows_.push_back({lower, upper, std::move(coefficients)});
+  rows_.push_back({lower, upper});
+  row_coefficients_.entries.insert(row_coefficients_.entries.end(),
+                                   coefficients.begin(), coefficients.end());
+  row_coefficients_.start.push_back(static_cast<int>(row_coefficients_.entries.size()));
   return static_cast<int>(rows_.size()) - 1;
 }
 
-void Model::reserve(int variables, int rows) {
-  variables_.reserve(variables);
-  rows_.reserve(rows);
+void Model::compress() {
+  if (compressed_) return;
+  columns_ = transpose(row_coefficients_, num_variables());
+  row_coefficients_ = SparseLines{};
+  variables_.shrink_to_fit();
+  rows_.shrink_to_fit();
+  compressed_ = true;
+}
+
+const SparseLines& Model::columns() const {
+  if (!compressed_) throw std::logic_error("Model::columns: model is not compressed");
+  return columns_;
+}
+
+void Model::check_not_compressed(const char* what) const {
+  if (compressed_) {
+    throw std::logic_error(std::string("Model::") + what + ": model is compressed");
+  }
 }
 
 void Model::check_variable_index(int index) const {
@@ -65,6 +104,20 @@ void Model::set_row_bounds(int index, double lower, double upper) {
   rows_[index].upper = upper;
 }
 
+std::vector<double> Model::row_activities(const std::vector<double>& x) const {
+  if (x.size() != variables_.size()) {
+    throw std::invalid_argument("Model::row_activities: size mismatch");
+  }
+  SparseLines temporary;
+  const SparseLines& columns =
+      compressed_ ? columns_ : (temporary = transpose(row_coefficients_, num_variables()));
+  std::vector<double> activity(rows_.size(), 0.0);
+  for (int j = 0; j < num_variables(); ++j) {
+    for (const auto& [r, coeff] : columns.line(j)) activity[r] += coeff * x[j];
+  }
+  return activity;
+}
+
 double Model::objective_value(const std::vector<double>& x) const {
   if (x.size() != variables_.size()) {
     throw std::invalid_argument("Model::objective_value: size mismatch");
@@ -83,11 +136,10 @@ double Model::max_violation(const std::vector<double>& x) const {
     worst = std::max(worst, variables_[j].lower - x[j]);
     worst = std::max(worst, x[j] - variables_[j].upper);
   }
-  for (const Row& row : rows_) {
-    double activity = 0.0;
-    for (const auto& [var, coeff] : row.coefficients) activity += coeff * x[var];
-    worst = std::max(worst, row.lower - activity);
-    worst = std::max(worst, activity - row.upper);
+  const std::vector<double> activity = row_activities(x);
+  for (std::size_t r = 0; r < rows_.size(); ++r) {
+    worst = std::max(worst, rows_[r].lower - activity[r]);
+    worst = std::max(worst, activity[r] - rows_[r].upper);
   }
   return worst;
 }
@@ -99,12 +151,15 @@ void Model::validate() const {
   }
   for (const Row& row : rows_) {
     if (row.lower > row.upper) throw std::invalid_argument("Model: inverted row bounds");
-    for (const auto& [var, coeff] : row.coefficients) {
-      if (var < 0 || var >= num_variables()) {
-        throw std::invalid_argument("Model: row references unknown variable");
-      }
-      if (!std::isfinite(coeff)) throw std::invalid_argument("Model: non-finite coefficient");
+  }
+  // Row entries index variables, column entries index rows.
+  const SparseLines& store = compressed_ ? columns_ : row_coefficients_;
+  const int index_limit = compressed_ ? num_rows() : num_variables();
+  for (const auto& [index, coeff] : store.entries) {
+    if (index < 0 || index >= index_limit) {
+      throw std::invalid_argument("Model: coefficient references an unknown index");
     }
+    if (!std::isfinite(coeff)) throw std::invalid_argument("Model: non-finite coefficient");
   }
   validated_ = true;
 }

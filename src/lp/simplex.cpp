@@ -55,12 +55,16 @@ constexpr int kRefactorInterval = 400;
 constexpr int kRetryRefactorInterval = 50;
 
 /// Internal solver state over the computational form A z = 0 with
-/// columns [structural | slack | artificial].
+/// columns [structural | slack | artificial]. The structural columns
+/// are read in place from `columns` (the model's compressed store, or
+/// one solve_impl built for an uncompressed model); the slack and
+/// artificial columns are unit columns the solve makes for itself.
 class Simplex {
  public:
-  Simplex(const Model& model, const SimplexOptions& options,
-          int refactor_period, KeptFactor* kept)
+  Simplex(const Model& model, const SparseLines& columns,
+          const SimplexOptions& options, int refactor_period, KeptFactor* kept)
       : model_(model),
+        columns_(columns),
         options_(options),
         refactor_period_(refactor_period),
         devex_(options.warm_start == nullptr),
@@ -71,7 +75,7 @@ class Simplex {
     m_ = model.num_rows();
     n_real_ = n_struct_ + m_;        // structural + slacks
     n_total_ = n_real_ + m_;         // + artificials
-    build_columns();
+    build_unit_columns();
     build_bounds();
   }
 
@@ -145,34 +149,24 @@ class Simplex {
  private:
   // ---- setup ----
 
-  /// Builds the computational-form matrix as one flat CSC arena
-  /// (col_entries_ sliced by col_start_). A solve constructs a Simplex
-  /// per call, so per-column vectors would mean ~n_total_ small
-  /// allocations on every solve — measurable against warm solves that
-  /// finish in a few dozen pivots.
-  void build_columns() {
-    col_start_.assign(n_total_ + 1, 0);
+  /// The slack and artificial columns, one entry each: slack r is
+  /// unit_[r] and artificial r is unit_[m_ + r], so column j >= n_struct_
+  /// is unit_[j - n_struct_]. Made per solve, so the artificial signs a
+  /// cold start sets stay with this solve.
+  void build_unit_columns() {
+    unit_.resize(2 * m_);
     for (int r = 0; r < m_; ++r) {
-      for (const auto& [var, coeff] : model_.row(r).coefficients) {
-        if (coeff != 0.0) ++col_start_[var + 1];
-      }
-      col_start_[n_struct_ + r + 1] = 1;  // slack
-      col_start_[n_real_ + r + 1] = 1;    // artificial
-    }
-    for (int j = 0; j < n_total_; ++j) col_start_[j + 1] += col_start_[j];
-    col_entries_.resize(col_start_[n_total_]);
-    std::vector<int> cursor(col_start_.begin(), col_start_.end() - 1);
-    for (int r = 0; r < m_; ++r) {
-      for (const auto& [var, coeff] : model_.row(r).coefficients) {
-        if (coeff != 0.0) col_entries_[cursor[var]++] = {r, coeff};
-      }
-      col_entries_[cursor[n_struct_ + r]++] = {r, -1.0};  // slack: a.x - s = 0
-      col_entries_[cursor[n_real_ + r]++] = {r, 1.0};  // artificial sign set at start
+      unit_[r] = {r, -1.0};       // slack: a.x - s = 0
+      unit_[m_ + r] = {r, 1.0};   // artificial: sign set at a cold start
     }
   }
 
   ColumnView col(int j) const {
-    return {col_entries_.data() + col_start_[j], col_start_[j + 1] - col_start_[j]};
+    if (j < n_struct_) {
+      const int begin = columns_.start[j];
+      return {columns_.entries.data() + begin, columns_.start[j + 1] - begin};
+    }
+    return {unit_.data() + (j - n_struct_), 1};
   }
 
   void build_bounds() {
@@ -267,7 +261,7 @@ class Simplex {
         val_[slack] = lb_[slack];
       }
       const double residual = val_[slack] - activity[r];
-      col_entries_[col_start_[art]].second = residual >= 0.0 ? 1.0 : -1.0;
+      unit_[m_ + r].second = residual >= 0.0 ? 1.0 : -1.0;
       val_[art] = std::abs(residual);
       status_[art] = VarStatus::kBasic;
       basis_[r] = art;
@@ -635,13 +629,13 @@ class Simplex {
 
   void compute_basic_values() {
     // x_B = B^{-1} (0 - N x_N).
-    std::vector<double> rhs(m_, 0.0);
+    rhs_.assign(m_, 0.0);
     for (int j = 0; j < n_total_; ++j) {
       if (status_[j] == VarStatus::kBasic || val_[j] == 0.0) continue;
-      for (const auto& [r, coeff] : col(j)) rhs[r] -= coeff * val_[j];
+      for (const auto& [r, coeff] : col(j)) rhs_[r] -= coeff * val_[j];
     }
-    factor_.ftran(rhs);
-    for (int p = 0; p < m_; ++p) val_[basis_[p]] = rhs[p];
+    factor_.ftran(rhs_);
+    for (int p = 0; p < m_; ++p) val_[basis_[p]] = rhs_[p];
   }
 
   /// w = B^{-1} a_j.
@@ -696,20 +690,22 @@ class Simplex {
 
   /// Scatter the pivot row alpha = rho^T A into alpha_ (rho = row p of
   /// the basis inverse). Row-wise: for every row touched by rho, walk
-  /// the model row plus that row's slack and artificial columns —
-  /// O(nnz of the touched rows) instead of one dot product per column.
+  /// that row of the structural matrix plus its slack and artificial
+  /// columns — O(nnz of the touched rows) instead of one dot product
+  /// per column. The rows come from a transpose of the columns, made on
+  /// the first call of a solve (devex prices cold solves only); each
+  /// alpha_j sums its rows in ascending order, whatever order the
+  /// model's rows listed their entries in.
   void compute_pivot_row(const std::vector<double>& rho) {
     if (alpha_.size() != n_total_) alpha_.resize(n_total_);  // O(n) once
     alpha_.clear();                                          // O(pattern)
+    if (rows_.start.empty()) rows_ = transpose(columns_, m_);
     for (int r = 0; r < m_; ++r) {
       const double rr = rho[r];
       if (rr == 0.0) continue;
-      for (const auto& [var, coeff] : model_.row(r).coefficients) {
-        if (coeff != 0.0) alpha_.add(var, rr * coeff);
-      }
+      for (const auto& [var, coeff] : rows_.line(r)) alpha_.add(var, rr * coeff);
       alpha_.add(n_struct_ + r, -rr);  // slack: coefficient -1
-      alpha_.add(n_real_ + r,
-                 rr * col_entries_[col_start_[n_real_ + r]].second);
+      alpha_.add(n_real_ + r, rr * unit_[m_ + r].second);
     }
   }
 
@@ -1122,21 +1118,22 @@ class Simplex {
     }
   }
 
-  /// Copies the final LU to kept_ when a warm start from the returned
+  /// Moves the final LU to kept_ when a warm start from the returned
   /// basis could adopt it: no eta after its factorization (from a pivot
   /// or purge_artificials), and basis_ in the ascending order
-  /// try_warm_start lists a basis in, artificials excluded. The copy
-  /// leaves the factor's spare capacity behind.
+  /// try_warm_start lists a basis in, artificials excluded. Runs last:
+  /// the factor and basis_ are empty afterwards.
   void keep_factor() {
     if (kept_ == nullptr || m_ == 0 || factor_.eta_count() > 0 ||
         basis_.back() >= n_real_ || !std::is_sorted(basis_.begin(), basis_.end())) {
       return;
     }
-    kept_->basis = basis_;
-    kept_->lu = factor_.lu();
+    kept_->basis = std::move(basis_);
+    kept_->lu = factor_.release();
   }
 
   const Model& model_;
+  const SparseLines& columns_;  // structural columns, read in place
   const SimplexOptions& options_;
   const int refactor_period_;
   int n_struct_ = 0;
@@ -1166,12 +1163,11 @@ class Simplex {
   long weight_resets_ = 0;
   std::vector<double> rho_;   // btran_unit scratch (pivot row of B^{-1})
   la::ScatterVector alpha_;   // pivot row rho^T A, stamp-deduplicated
+  SparseLines rows_;          // structural rows for compute_pivot_row
 
-  // Computational-form matrix in flat CSC layout: column j's (row,
-  // coeff) entries are col_entries_[col_start_[j] .. col_start_[j+1]).
-  std::vector<std::pair<int, double>> col_entries_;
-  std::vector<int> col_start_;
+  std::vector<Coefficient> unit_;  // slack and artificial columns
   std::vector<double> lb_, ub_, cost_, val_;
+  std::vector<double> rhs_;        // compute_basic_values() scratch
   std::vector<VarStatus> status_;
   std::vector<int> basis_;       // variable index per basis position
   BasisFactor factor_;
@@ -1189,8 +1185,15 @@ namespace {
 Solution solve_impl(const Model& model, const SimplexOptions& options,
                     KeptFactor* kept) {
   model.validate();
+  // A compressed model's columns are read in place; an uncompressed one
+  // gets the same store for this solve (and its retry).
+  SparseLines temporary;
+  const SparseLines& columns =
+      model.compressed()
+          ? model.columns()
+          : (temporary = transpose(model.row_coefficients(), model.num_variables()));
   try {
-    Simplex simplex(model, options, kRefactorInterval, kept);
+    Simplex simplex(model, columns, options, kRefactorInterval, kept);
     return simplex.run();
   } catch (const util::ContractViolation&) {
     throw;  // contract bugs must surface, never be retried away
@@ -1204,7 +1207,7 @@ Solution solve_impl(const Model& model, const SimplexOptions& options,
     SimplexOptions conservative = options;
     conservative.warm_start = nullptr;
     try {
-      Simplex retry(model, conservative, kRetryRefactorInterval, kept);
+      Simplex retry(model, columns, conservative, kRetryRefactorInterval, kept);
       return retry.run();
     } catch (const util::ContractViolation&) {
       throw;

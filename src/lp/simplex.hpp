@@ -2,7 +2,14 @@
 //
 // The model  min c^T x,  lo_r <= a_r.x <= hi_r,  lb <= x <= ub  is put in
 // the computational form  A z = 0  by introducing one slack per row
-// (a_r.x - s_r = 0 with s_r in [lo_r, hi_r]). Cold starts use a slack
+// (a_r.x - s_r = 0 with s_r in [lo_r, hi_r]). The structural columns
+// are read in place from a compressed model's column store
+// (Model::compress); an uncompressed model gets the same store, built
+// for the solve by lp::transpose. The slack and artificial columns are
+// implicit in the model: each solve makes them as 2m unit entries of
+// its own, so the artificial signs a cold start picks never reach the
+// model, and devex builds its pivot rows from a row-wise transpose of
+// the store, made once per cold solve. Cold starts use a slack
 // crash: every row whose resting activity fits its slack bounds gets
 // the slack basic, so phase 1 minimizes artificials only on the
 // genuinely violated rows (equality rows with nonzero rhs) instead of
@@ -109,7 +116,9 @@ struct Solution {
 /// equals `basis`, it adopts `lu` instead of refactorizing: the same LU,
 /// bit for bit, since a factorization is a pure function of the basis
 /// columns in order. Valid only while the model's coefficients stay as
-/// they were (bounds and objective may change); empty `basis` = none.
+/// they were (bounds and objective may change; a compressed model's
+/// coefficients never do); empty `basis` = none. The solve moves its
+/// factorization out, so `lu` may carry the workspace's spare capacity.
 struct KeptFactor {
   std::vector<int> basis;  ///< variable index per basis position
   LuFactors lu;

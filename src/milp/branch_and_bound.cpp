@@ -56,6 +56,9 @@ class BranchAndBound {
  public:
   BranchAndBound(const lp::Model& model, const MilpOptions& options)
       : model_(model), options_(options), work_(model) {
+    // Every node, heuristic and warm-start LP re-solves the working copy
+    // with other bounds: compressed once, its columns are read in place.
+    work_.compress();
     for (int j = 0; j < model.num_variables(); ++j) {
       if (model.variable(j).is_integer) integer_vars_.push_back(j);
     }

@@ -46,17 +46,14 @@ PlanReport analyze_plan(const topo::Topology& topology,
     }
     // Utilization per link from the capacity-row activities: the flow
     // variables of each direction sum against the capacity bound.
+    const std::vector<double> activity = lp.model.row_activities(solution.x);
     for (int l = 0; l < topology.num_links(); ++l) {
       const double cap = total[l] * topology.capacity_unit_gbps();
       if (cap <= 0.0) continue;
       for (int dir = 0; dir < 2; ++dir) {
         const int row = lp.capacity_row[2 * l + dir];
         if (row < 0) continue;
-        double activity = 0.0;
-        for (const auto& [var, coeff] : lp.model.row(row).coefficients) {
-          activity += coeff * solution.x[var];
-        }
-        worst_utilization[l] = std::max(worst_utilization[l], activity / cap);
+        worst_utilization[l] = std::max(worst_utilization[l], activity[row] / cap);
       }
     }
   }

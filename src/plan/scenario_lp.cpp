@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -84,35 +85,7 @@ ScenarioLp build_scenario_lp(const topo::Topology& topology, int scenario,
       build_commodities(topology, failure, aggregate_sources);
   const int num_commodities = static_cast<int>(commodities.size());
 
-  // The cached evaluators keep every scenario LP resident, so the model
-  // is sized exactly: variables and rows are reserved up front, and each
-  // row is assembled in `coeffs` and handed over as an exact copy.
-  // Conservation row (c, n) exists when site n has an alive link or is
-  // c's source or one of its (distinct) sinks; see the loop below.
-  std::vector<int> degree(topology.num_sites(), 0);
-  int alive_links = 0;
-  for (int l = 0; l < num_links; ++l) {
-    if (!alive[l]) continue;
-    ++alive_links;
-    const topo::IpLink& link = topology.link(l);
-    ++degree[link.site_a];
-    if (link.site_b != link.site_a) ++degree[link.site_b];
-  }
-  const int linked_sites = static_cast<int>(
-      std::count_if(degree.begin(), degree.end(), [](int d) { return d > 0; }));
-  int num_sinks = 0;
-  int conservation_rows = 0;
-  for (const Commodity& commodity : commodities) {
-    num_sinks += static_cast<int>(commodity.sinks.size());
-    conservation_rows += linked_sites + (degree[commodity.source] == 0 ? 1 : 0);
-    for (const auto& [dst, demand] : commodity.sinks) {
-      (void)demand;
-      if (degree[dst] == 0 && dst != commodity.source) ++conservation_rows;
-    }
-  }
-  out.model.reserve(num_commodities * 2 * alive_links + num_sinks,
-                    conservation_rows + 2 * alive_links);
-  std::vector<lp::Coefficient> coeffs;
+  std::vector<lp::Coefficient> coeffs;  // one row, assembled in place
 
   // Flow variables: y[c][l][dir] for alive links. dir 0 = site_a->site_b.
   // Variable layout per commodity kept in a flat map for row assembly.
@@ -166,7 +139,7 @@ ScenarioLp build_scenario_lp(const topo::Topology& topology, int scenario,
         }
       }
       if (coeffs.empty() && rhs == 0.0) continue;  // isolated, uninvolved site
-      out.model.add_row(rhs, rhs, {coeffs.begin(), coeffs.end()});
+      out.model.add_row(rhs, rhs, coeffs);
     }
   }
 
@@ -180,10 +153,13 @@ ScenarioLp build_scenario_lp(const topo::Topology& topology, int scenario,
       for (int c = 0; c < num_commodities; ++c) {
         coeffs.push_back({y[c][2 * l + dir], 1.0});
       }
-      out.capacity_row[2 * l + dir] =
-          out.model.add_row(-lp::kInfinity, 0.0, {coeffs.begin(), coeffs.end()});
+      out.capacity_row[2 * l + dir] = out.model.add_row(-lp::kInfinity, 0.0, coeffs);
     }
   }
+  // The cached evaluators keep every scenario LP resident and re-solve
+  // it per check: the matrix is kept once, in the columns the simplex
+  // reads in place, and every array the model keeps at its exact size.
+  out.model.compress();
   return out;
 }
 
@@ -269,7 +245,7 @@ ScenarioCheck solve_scenario(ScenarioLp& lp, const lp::SimplexOptions& base_opti
     }
     return check;
   }
-  lp.basis = solution.basis;
+  lp.basis = std::move(solution.basis);
   check.unserved_gbps = solution.objective;
   check.feasible = solution.objective <= 1e-6 * std::max(1.0, lp.total_demand);
   check.verdict = check.feasible ? Verdict::kFeasible : Verdict::kInfeasible;

@@ -10,6 +10,10 @@
 // paper's stateful failure checking speedup. A warm solve also keeps
 // the LU of that basis when no pivot followed its factorization, so the
 // next warm start from an unchanged basis skips its refactorization.
+// The model is built compressed (lp::Model::compress): its matrix is
+// held once, as the column store the simplex reads in place, so a
+// re-solve rebuilds no copy of it and a resident scenario LP costs one
+// exactly sized matrix.
 //
 // With `aggregate_sources` (the paper's source aggregation, [60]) flows
 // sharing a source become one commodity, shrinking constraints from
@@ -29,6 +33,8 @@ namespace np::plan {
 inline constexpr int kHealthyScenario = 0;
 
 struct ScenarioLp {
+  /// Compressed: row and variable bounds stay patchable, rows cannot
+  /// be added.
   lp::Model model;
   /// Capacity-row index for (link, direction) -> row, or -1 when the
   /// link is down in this scenario. Row upper bound = C_l in Gbps.
@@ -44,8 +50,8 @@ struct ScenarioLp {
   int failure_index = -1;  ///< -1 = healthy
 };
 
-/// Build the LP for one scenario. `scenario` follows the convention
-/// above. Links down in the scenario get no flow variables.
+/// Build the LP for one scenario, compressed. `scenario` follows the
+/// convention above. Links down in the scenario get no flow variables.
 ScenarioLp build_scenario_lp(const topo::Topology& topology, int scenario,
                              bool aggregate_sources);
 

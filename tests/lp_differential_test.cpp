@@ -8,7 +8,9 @@
 // terminate under partial pricing; devex weights must hold their floor
 // across mid-solve refactorizations), the kept LU (a warm solve that
 // adopts the LU its scenario kept must equal, bit for bit, one that
-// refactorizes, and must skip that refactorization), property tests of BasisFactor
+// refactorizes, and must skip that refactorization), a resident
+// compressed scenario LP against models built afresh at every step
+// (bit for bit), property tests of BasisFactor
 // itself (including how many pivot positions a factorization visits),
 // BasisFactor checked solve by solve against a dense Gauss-Jordan
 // inverse (tests/reference_basis.hpp), before and after product-form
@@ -388,6 +390,66 @@ TEST(KeptFactor, WarmTrajectoriesMatchRefactorizingTwinBitForBit) {
   EXPECT_GT(adopted, 0);
 }
 
+TEST(ResidentModel, WarmTrajectoriesMatchFreshlyBuiltModelsBitForBit) {
+  // A scenario LP is compressed once and re-solved at every check, so
+  // nothing a solve does may stay behind in it: not the artificial
+  // signs a cold start sets, not a stale column. Every scenario LP of B
+  // and C, both formulations, runs the trajectory of
+  // KeptFactor.WarmTrajectoriesMatchRefactorizingTwinBitForBit; each
+  // step is solved on the resident model and on a model built afresh
+  // for that step, given the resident's warm basis and kept LU.
+  for (const char id : {'B', 'C'}) {
+    const topo::Topology topology = topo::make_preset(id);
+    for (const bool aggregate : {true, false}) {
+      for (int scenario = 0; scenario <= topology.num_failures(); ++scenario) {
+        plan::ScenarioLp resident = plan::build_scenario_lp(topology, scenario, aggregate);
+        Rng rng(test_seed(11) + static_cast<unsigned>(scenario));
+        std::vector<int> units = topology.initial_units();
+        for (int step = 0; step < 9; ++step) {
+          const int l = static_cast<int>(rng.uniform_index(topology.num_links()));
+          if (step % 3 == 0 && topology.spectrum_headroom_units(l, units) > 0) {
+            units[l] += 1;  // monotone
+          } else if (step % 3 == 2) {
+            units[l] = std::max(0, units[l] - 2);  // non-monotone
+          }  // step % 3 == 1: the same plan again
+          SCOPED_TRACE(::testing::Message()
+                       << id << (aggregate ? " aggregated" : " per-flow")
+                       << " scenario " << scenario << " step " << step);
+          plan::ScenarioLp fresh = plan::build_scenario_lp(topology, scenario, aggregate);
+          if (step == 7) {
+            // Cold at zero capacity: phase 1 sets artificial signs.
+            const std::vector<int> none(topology.num_links(), 0);
+            plan::set_plan_capacities(resident, topology, none);
+            plan::set_plan_capacities(fresh, topology, none);
+            const Solution a = solve(resident.model, solver_options());
+            const Solution b = solve(fresh.model, solver_options());
+            ASSERT_EQ(a.status, b.status);
+            EXPECT_TRUE(same_bits(a.x, b.x));
+            EXPECT_TRUE(a.basis.statuses == b.basis.statuses);
+            EXPECT_EQ(a.iterations, b.iterations);
+            if (a.status == SolveStatus::kOptimal) resident.basis = a.basis;
+            fresh = plan::build_scenario_lp(topology, scenario, aggregate);
+          }
+          fresh.basis = resident.basis;
+          fresh.factor = resident.factor;
+          plan::set_plan_capacities(resident, topology, units);
+          plan::set_plan_capacities(fresh, topology, units);
+          const Solution a = warm_step(resident);
+          const Solution b = warm_step(fresh);
+          ASSERT_EQ(a.status, b.status);
+          EXPECT_TRUE(same_bits({a.objective}, {b.objective}))
+              << a.objective << " vs " << b.objective;
+          EXPECT_TRUE(same_bits(a.x, b.x));
+          EXPECT_TRUE(a.basis.statuses == b.basis.statuses);
+          EXPECT_EQ(a.iterations, b.iterations);
+          EXPECT_EQ(a.start_path, b.start_path);
+          EXPECT_EQ(resident.factor.basis, fresh.factor.basis);
+        }
+      }
+    }
+  }
+}
+
 TEST(KeptFactor, WarmResolveAtUnchangedCapacitiesDoesNotRefactorize) {
   const topo::Topology topology = topo::make_preset('C');
   plan::ScenarioLp lp = plan::build_scenario_lp(topology, 0, true);
@@ -746,14 +808,16 @@ TEST(BasisFactorReference, RandomBasesMatchDenseInverse) {
   }
 }
 
-/// Columns of a model's computational form: structurals, then one
-/// slack per row (coefficient -1, as the simplex builds them).
+/// Columns of a compressed model's computational form: its structural
+/// columns as stored, then one slack per row (coefficient -1, as the
+/// simplex makes them).
 std::vector<SparseColumn> computational_columns(const Model& model) {
   std::vector<SparseColumn> columns(model.num_variables() + model.num_rows());
+  for (int j = 0; j < model.num_variables(); ++j) {
+    const auto column = model.columns().line(j);
+    columns[j].assign(column.begin(), column.end());
+  }
   for (int r = 0; r < model.num_rows(); ++r) {
-    for (const auto& [var, coeff] : model.row(r).coefficients) {
-      if (coeff != 0.0) columns[var].push_back({r, coeff});
-    }
     columns[model.num_variables() + r].push_back({r, -1.0});
   }
   return columns;

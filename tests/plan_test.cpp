@@ -101,9 +101,11 @@ TEST(ScenarioLp, WarmStartAfterCapacityIncreaseIsCheap) {
 
 TEST(ScenarioLp, ModelIsSizedExactly) {
   // The cached evaluators keep every scenario LP resident, so the model
-  // holds no vector growth slack: variables, rows and each row's
-  // coefficients are allocated at their final size. Figure 1 has sites
-  // with no link (rows skipped); B and D have link and site failures.
+  // holds its matrix once, in the compressed column store, and no
+  // vector growth slack: variables, row bounds and both column-store
+  // arrays are allocated at their final size, and no row-major
+  // coefficients remain. Figure 1 has sites with no link (rows
+  // skipped); B and D have link and site failures.
   for (const topo::Topology& t :
        {figure1(), topo::make_preset('B'), topo::make_preset('D')}) {
     for (const bool aggregate : {true, false}) {
@@ -111,11 +113,16 @@ TEST(ScenarioLp, ModelIsSizedExactly) {
         const ScenarioLp lp = build_scenario_lp(t, scenario, aggregate);
         SCOPED_TRACE(::testing::Message() << t.name() << " scenario " << scenario
                                           << (aggregate ? " aggregated" : " per-flow"));
+        ASSERT_TRUE(lp.model.compressed());
         EXPECT_EQ(lp.model.variables().capacity(), lp.model.variables().size());
         EXPECT_EQ(lp.model.rows().capacity(), lp.model.rows().size());
-        for (const lp::Row& row : lp.model.rows()) {
-          ASSERT_EQ(row.coefficients.capacity(), row.coefficients.size());
-        }
+        const lp::SparseLines& columns = lp.model.columns();
+        EXPECT_EQ(columns.entries.capacity(), columns.entries.size());
+        EXPECT_EQ(columns.start.capacity(), columns.start.size());
+        EXPECT_EQ(columns.start.size(),
+                  static_cast<std::size_t>(lp.model.num_variables()) + 1);
+        EXPECT_EQ(lp.model.row_coefficients().entries.capacity(), 0u);
+        EXPECT_EQ(lp.model.row_coefficients().start.capacity(), 0u);
       }
     }
   }
