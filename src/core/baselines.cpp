@@ -18,21 +18,12 @@ namespace {
 /// solve_ilp's size limit (see baselines.hpp).
 constexpr int kMaxIlpModelRows = 4000;
 
-std::vector<int> total_from_added(const topo::Topology& topology,
-                                  const std::vector<int>& added) {
-  std::vector<int> total = topology.initial_units();
-  for (int l = 0; l < topology.num_links(); ++l) total[l] += added[l];
-  return total;
-}
-
 }  // namespace
 
 PlanResult solve_ilp(const topo::Topology& topology, const IlpConfig& config) {
   Stopwatch watch;
   PlanResult result;
-  plan::FormulationOptions options;
-  options.aggregate_sources = config.aggregate_sources;
-  plan::PlanningMilp milp(topology, options);
+  plan::PlanningMilp milp(topology, {});
 
   if (milp.model().num_rows() > kMaxIlpModelRows) {
     result.timed_out = true;
@@ -113,7 +104,7 @@ PlanResult solve_greedy(const topo::Topology& topology) {
   // Shortest-path loads can exceed spectrum or under-serve when paths
   // overlap; verify honestly.
   result.feasible =
-      plan::check_once(topology, total_from_added(topology, result.added_units))
+      plan::check_once(topology, topology.total_units(result.added_units))
           .feasible;
   return result;
 }

@@ -24,7 +24,6 @@ namespace np::core {
 struct IlpConfig {
   double time_limit_seconds = 300.0;
   double relative_gap = 1e-4;
-  bool aggregate_sources = true;
 };
 
 /// Refuses models whose LP relaxation has more than 4,000 rows: the

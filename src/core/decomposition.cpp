@@ -215,9 +215,7 @@ DecompositionResult solve_region_decomposition(const topo::Topology& topology,
 
   // Stitch + verify; repair blind spots with the greedy design.
   auto feasible_now = [&]() {
-    std::vector<int> total = initial;
-    for (int l = 0; l < topology.num_links(); ++l) total[l] += added[l];
-    return plan::check_once(topology, total).feasible;
+    return plan::check_once(topology, topology.total_units(added)).feasible;
   };
   bool feasible = feasible_now();
   if (!feasible) {

@@ -1,7 +1,6 @@
 #include "core/lazy_solve.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 #include <stdexcept>
 
@@ -19,9 +18,7 @@ LazySolveResult lazy_solve(const topo::Topology& topology,
   plan::PlanEvaluator evaluator(topology);
 
   auto check_full = [&](const std::vector<int>& added) {
-    std::vector<int> total = topology.initial_units();
-    for (int l = 0; l < topology.num_links(); ++l) total[l] += added[l];
-    return evaluator.check(total);
+    return evaluator.check(topology.total_units(added));
   };
 
   // Best plan known to satisfy EVERY scenario; seeded with the caller's
@@ -71,16 +68,13 @@ LazySolveResult lazy_solve(const topo::Topology& topology,
                                  double budget_seconds) -> std::vector<int> {
     plan::FormulationOptions repair = base;
     repair.min_added_units = plan;
-    repair.use_all_failures = false;
-    repair.failure_subset = {failure_index};
-    repair.include_healthy = true;
+    repair.failures = std::vector<int>{failure_index};
     repair.max_total_cost = 0.0;  // the cutoff may exclude every top-up
     plan::PlanningMilp milp(topology, repair);
     milp::MilpOptions options;
     options.relative_gap = 0.05;  // any cheap top-up will do
     options.time_limit_seconds = budget_seconds;
     const milp::MilpResult solved = milp::solve(milp.model(), options);
-    result.lp_iterations += solved.lp_iterations;
     if (!solved.has_incumbent) return {};
     return milp.extract_added_units(solved.x);
   };
@@ -134,20 +128,11 @@ LazySolveResult lazy_solve(const topo::Topology& topology,
 
   for (int round = 0; round < config.max_rounds; ++round) {
     ++result.rounds;
-    base.include_healthy = true;
-    base.use_all_failures = false;
-    base.failure_subset.assign(selected.begin(), selected.end());
+    base.failures = std::vector<int>(selected.begin(), selected.end());
     plan::PlanningMilp milp(topology, base);
 
     std::vector<double> seed;
-    if (!round_seed.empty()) {
-      seed.assign(milp.model().num_variables(), 0.0);
-      for (int l = 0; l < topology.num_links(); ++l) {
-        seed[milp.added_var(l)] =
-            std::ceil(static_cast<double>(round_seed[l]) / milp.unit_multiplier() -
-                      1e-9);
-      }
-    }
+    if (!round_seed.empty()) seed = milp.integer_start(round_seed);
 
     milp::MilpOptions milp_options;
     if (!seed.empty()) milp_options.integer_warm_start = &seed;
@@ -160,7 +145,6 @@ LazySolveResult lazy_solve(const topo::Topology& topology,
                               std::to_string(result.rounds - 1) + " rounds");
     }
     const milp::MilpResult solved = milp::solve(milp.model(), milp_options);
-    result.lp_iterations += solved.lp_iterations;
 
     if (!solved.has_incumbent) {
       // The round's MILP relaxes the full problem, so an infeasible one

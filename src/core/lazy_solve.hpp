@@ -3,8 +3,18 @@
 // Materializing every failure scenario in one MILP (the paper's naive
 // ILP) blows up with topology size — exactly the scalability wall §3.2
 // describes. This helper keeps the MILP small: solve with a scenario
-// subset, check the resulting plan against ALL scenarios with the plan
-// evaluator, add the violated scenario, repeat.
+// subset (FormulationOptions::failures), check the resulting plan
+// against ALL scenarios with the plan evaluator, add the violated
+// scenario, repeat. Each round's MILP is seeded with the previous
+// round's plan through PlanningMilp::integer_start, which maps base
+// units to the MILP's multiplier units.
+//
+// A round's plan that violates a new scenario is topped up for it by a
+// small repair MILP (floors = the plan, only the healthy network and
+// that scenario), and a finisher repairs the last such plan to full
+// feasibility when the loop stops early. The repair is also the loop's
+// incumbent source when a round stops on its time limit, which is why
+// it stays (docs/INTERNALS.md §3 has the measurement).
 //
 // Soundness: each round's MILP is a relaxation of the full problem
 // (fewer constraints), so its optimum lower-bounds the full optimum;
@@ -54,11 +64,10 @@ struct LazySolveResult {
   int scenarios_used = 0;  ///< failures in the final MILP (healthy excluded)
   /// Failure indices that ended up in the MILP — the binding set.
   std::vector<int> binding_failures;
-  long lp_iterations = 0;
 };
 
-/// `base` supplies bounds / unit multiplier / aggregation; its failure
-/// subset fields are overwritten by the generation loop.
+/// `base` supplies bounds, unit multiplier and cost cutoff; its failure
+/// list is overwritten by the generation loop.
 LazySolveResult lazy_solve(const topo::Topology& topology,
                            plan::FormulationOptions base,
                            const LazySolveConfig& config = {});

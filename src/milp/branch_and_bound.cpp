@@ -26,6 +26,9 @@ const char* to_string(MilpStatus status) {
 
 namespace {
 
+/// A value within this distance of an integer counts as integral.
+constexpr double kIntegralityTolerance = 1e-6;
+
 /// One branching decision; nodes share ancestors through shared_ptr
 /// chains so storing a node is O(1) instead of O(num integer vars).
 struct BoundChange {
@@ -95,9 +98,8 @@ class BranchAndBound {
       nodes.add(1);
 
       if (!apply_bounds(node.chain)) continue;
-      lp::SimplexOptions lp_opts = options_.lp_options;
-      const double remaining = options_.time_limit_seconds - watch.seconds();
-      lp_opts.time_limit_seconds = std::min(lp_opts.time_limit_seconds, remaining);
+      lp::SimplexOptions lp_opts;
+      lp_opts.time_limit_seconds = options_.time_limit_seconds - watch.seconds();
       if (node.parent_basis != nullptr) lp_opts.warm_start = node.parent_basis.get();
       lp::Solution relax = lp::solve(work_, lp_opts);
       result.lp_iterations += relax.iterations;
@@ -180,26 +182,35 @@ class BranchAndBound {
       log_warn("milp: integer warm start has wrong size; ignored");
       return;
     }
+    std::vector<double> target;
+    target.reserve(integer_vars_.size());
+    for (int j : integer_vars_) target.push_back(std::round((*start)[j]));
+    fix_and_resolve(result, target, watch);
+  }
+
+  /// Fixes the k-th integer variable to target[k], clamped into its
+  /// current bounds, re-solves the continuous LP and offers an optimal
+  /// point as an incumbent; then restores the bounds. Skips the solve
+  /// when a clamped target is not integral.
+  void fix_and_resolve(MilpResult& result, const std::vector<double>& target,
+                       const Stopwatch& watch) {
     std::vector<std::pair<double, double>> saved;
     saved.reserve(integer_vars_.size());
     bool applicable = true;
-    for (int j : integer_vars_) {
+    for (std::size_t k = 0; k < integer_vars_.size(); ++k) {
+      const int j = integer_vars_[k];
       const lp::Variable& v = work_.variable(j);
       saved.emplace_back(v.lower, v.upper);
-      double fixed = std::round((*start)[j]);
-      fixed = std::min(fixed, v.upper);
-      fixed = std::max(fixed, v.lower);
-      if (std::abs(fixed - std::round(fixed)) > options_.integrality_tolerance) {
+      const double fixed = std::max(std::min(target[k], v.upper), v.lower);
+      if (std::abs(fixed - std::round(fixed)) > kIntegralityTolerance) {
         applicable = false;
         break;
       }
       work_.set_variable_bounds(j, fixed, fixed);
     }
     if (applicable) {
-      lp::SimplexOptions lp_opts = options_.lp_options;
-      lp_opts.time_limit_seconds =
-          std::min(lp_opts.time_limit_seconds,
-                   options_.time_limit_seconds - watch.seconds());
+      lp::SimplexOptions lp_opts;
+      lp_opts.time_limit_seconds = options_.time_limit_seconds - watch.seconds();
       lp::Solution fixed = lp::solve(work_, lp_opts);
       result.lp_iterations += fixed.iterations;
       if (fixed.status == lp::SolveStatus::kOptimal) {
@@ -245,7 +256,7 @@ class BranchAndBound {
     for (int j : integer_vars_) {
       const double frac = x[j] - std::floor(x[j]);
       const double dist = std::min(frac, 1.0 - frac);
-      if (dist <= options_.integrality_tolerance) continue;
+      if (dist <= kIntegralityTolerance) continue;
       const double score =
           dist * (std::abs(model_.variable(j).objective) + 1e-9);
       if (best < 0 || score > best_score) {
@@ -256,42 +267,14 @@ class BranchAndBound {
     return best;
   }
 
-  /// Fix every integer variable to round(x_j), re-solve the continuous
-  /// LP; an optimal result is a new incumbent candidate.
+  /// Rounds every integer variable of the node's LP point up (capacity
+  /// models stay feasible when capacities only grow) and tries it.
   void rounding_heuristic(MilpResult& result, const std::vector<double>& x,
                           const Stopwatch& watch) {
-    std::vector<std::pair<double, double>> saved;
-    saved.reserve(integer_vars_.size());
-    bool applicable = true;
-    for (int j : integer_vars_) {
-      const lp::Variable& v = work_.variable(j);
-      saved.emplace_back(v.lower, v.upper);
-      // Round up: capacity-style models stay feasible when capacities
-      // only grow. Clamp into the node box.
-      double fixed = std::ceil(x[j] - options_.integrality_tolerance);
-      fixed = std::min(fixed, v.upper);
-      fixed = std::max(fixed, v.lower);
-      if (std::abs(fixed - std::round(fixed)) > options_.integrality_tolerance) {
-        applicable = false;
-        break;
-      }
-      work_.set_variable_bounds(j, fixed, fixed);
-    }
-    if (applicable) {
-      lp::SimplexOptions lp_opts = options_.lp_options;
-      lp_opts.time_limit_seconds =
-          std::min(lp_opts.time_limit_seconds,
-                   options_.time_limit_seconds - watch.seconds());
-      lp::Solution fixed = lp::solve(work_, lp_opts);
-      result.lp_iterations += fixed.iterations;
-      if (fixed.status == lp::SolveStatus::kOptimal &&
-          (!result.has_incumbent || fixed.objective < result.objective)) {
-        accept_incumbent(result, fixed.x, fixed.objective);
-      }
-    }
-    for (std::size_t k = 0; k < saved.size(); ++k) {
-      work_.set_variable_bounds(integer_vars_[k], saved[k].first, saved[k].second);
-    }
+    std::vector<double> target;
+    target.reserve(integer_vars_.size());
+    for (int j : integer_vars_) target.push_back(std::ceil(x[j] - kIntegralityTolerance));
+    fix_and_resolve(result, target, watch);
   }
 
   void accept_incumbent(MilpResult& result, std::vector<double> x, double objective) {
@@ -307,7 +290,7 @@ class BranchAndBound {
               "milp: incumbent worsened: ", result.objective, " -> ", objective);
     for (int j : integer_vars_) {
       NP_ASSERT(std::abs(x[j] - std::round(x[j])) <=
-                    options_.integrality_tolerance + 1e-9,
+                    kIntegralityTolerance + 1e-9,
                 "milp: non-integral incumbent coordinate ", j, " = ", x[j]);
     }
 #endif

@@ -2,12 +2,16 @@
 //
 // Layers integrality (Variable::is_integer) on top of the np::lp
 // simplex: best-first node selection on the LP bound, most-fractional
-// branching, a fix-and-resolve rounding heuristic to find incumbents
-// early, optional warm-start incumbents (the paper's §3.2 "warm-start
-// to feed potential feasible solutions to ILP solvers"), and time /
-// node / gap limits. This is the role Gurobi's MIP engine plays in the
-// paper; the pruned second-stage NeuroPlan ILPs and the exact/heuristic
-// baselines all run through it.
+// branching, and time / node / gap limits. One fix-and-resolve routine
+// (fix every integer variable to a target, re-solve the continuous LP,
+// offer the result as an incumbent) serves both the optional integer
+// warm start (the paper's §3.2 "warm-start to feed potential feasible
+// solutions to ILP solvers"; targets round(start_j)) and the rounding
+// heuristic that finds incumbents early (targets ceil(x_j - tol)). The
+// integrality tolerance (1e-6) and the simplex options of every LP are
+// fixed. This is the role Gurobi's MIP engine plays in the paper; the
+// pruned second-stage NeuroPlan ILPs and the exact/heuristic baselines
+// all run through it.
 #pragma once
 
 #include <vector>
@@ -28,7 +32,6 @@ enum class MilpStatus {
 const char* to_string(MilpStatus status);
 
 struct MilpOptions {
-  double integrality_tolerance = 1e-6;
   /// Stop when (incumbent - bound) / max(1, |incumbent|) <= gap.
   double relative_gap = 1e-6;
   double time_limit_seconds = lp::kInfinity;
@@ -42,7 +45,6 @@ struct MilpOptions {
   /// initial incumbent when feasible, so the caller need not know the
   /// continuous part of a feasible point.
   const std::vector<double>* integer_warm_start = nullptr;
-  lp::SimplexOptions lp_options;
 };
 
 struct MilpResult {

@@ -1,10 +1,22 @@
 #include "plan/formulation.hpp"
 
 #include <cmath>
-#include <map>
+#include <numeric>
 #include <stdexcept>
 
+#include "plan/scenario_lp.hpp"
+
 namespace np::plan {
+
+namespace {
+
+/// `base_units` in multiplier units, rounded up.
+int multiplier_units(int base_units, int multiplier) {
+  return static_cast<int>(
+      std::ceil(static_cast<double>(base_units) / multiplier - 1e-9));
+}
+
+}  // namespace
 
 PlanningMilp::PlanningMilp(const topo::Topology& topology,
                            const FormulationOptions& options) {
@@ -20,9 +32,12 @@ PlanningMilp::PlanningMilp(const topo::Topology& topology,
       options.min_added_units.size() != static_cast<std::size_t>(topology.num_links())) {
     throw std::invalid_argument("PlanningMilp: min_added_units size mismatch");
   }
-  for (int k : options.failure_subset) {
+  std::vector<int> failures(topology.num_failures());
+  std::iota(failures.begin(), failures.end(), 0);  // unset: every failure
+  if (options.failures) failures = *options.failures;
+  for (int k : failures) {
     if (k < 0 || k >= topology.num_failures()) {
-      throw std::invalid_argument("PlanningMilp: failure_subset index out of range");
+      throw std::invalid_argument("PlanningMilp: failure index out of range");
     }
   }
   multiplier_ = options.unit_multiplier;
@@ -40,13 +55,10 @@ PlanningMilp::PlanningMilp(const topo::Topology& topology,
     max_added = std::max(max_added, 0);
     // Round the bound UP in multiplier units; the spectrum rows below
     // still enforce the true physical cap.
-    const int ub = static_cast<int>(
-        std::ceil(static_cast<double>(max_added) / multiplier_ - 1e-9));
+    const int ub = multiplier_units(max_added, multiplier_);
     int lb = 0;
     if (!options.min_added_units.empty()) {
-      lb = std::min(ub, static_cast<int>(std::ceil(
-                            static_cast<double>(options.min_added_units[l]) /
-                                multiplier_ - 1e-9)));
+      lb = std::min(ub, multiplier_units(options.min_added_units[l], multiplier_));
     }
     added_vars_.push_back(
         model_.add_variable(lb, ub, topology.link_unit_cost(l) * multiplier_));
@@ -75,93 +87,30 @@ PlanningMilp::PlanningMilp(const topo::Topology& topology,
                    std::move(coeffs));
   }
 
-  // ---- scenario list ----
-  std::vector<int> scenarios;  // -1 = healthy, else failure index
-  if (options.include_healthy) scenarios.push_back(-1);
-  if (options.use_all_failures) {
-    for (int k = 0; k < topology.num_failures(); ++k) scenarios.push_back(k);
-  } else {
-    for (int k : options.failure_subset) scenarios.push_back(k);
+  // ---- per-scenario flow blocks (Eq. 2, Eq. 3): healthy, then failures ----
+  // Capacity rows per direction:
+  //   sum_c y - unit_gbps * added_l <= initial_l * base_unit_gbps.
+  CapacityTerm capacity{added_vars_, unit_gbps, std::vector<double>(num_links_)};
+  for (int l = 0; l < num_links_; ++l) {
+    capacity.bound_gbps[l] = initial[l] * topology.capacity_unit_gbps();
   }
-
-  // ---- per-scenario flow variables and constraints (Eq. 2, Eq. 3) ----
-  const topo::Failure healthy{};
-  for (int scenario : scenarios) {
-    const topo::Failure& failure =
-        scenario < 0 ? healthy : topology.failure(scenario);
-
-    std::vector<bool> alive(num_links_);
-    for (int l = 0; l < num_links_; ++l) alive[l] = !topology.link_failed(l, failure);
-
-    // Commodities (source-aggregated or per flow).
-    std::map<int, std::map<int, double>> by_source;
-    std::vector<std::pair<int, std::map<int, double>>> commodities;
-    for (int fl = 0; fl < topology.num_flows(); ++fl) {
-      const topo::Flow& flow = topology.flow(fl);
-      if (!topology.flow_required(flow, failure)) continue;
-      if (options.aggregate_sources) {
-        by_source[flow.src][flow.dst] += flow.demand_gbps;
-      } else {
-        commodities.push_back({flow.src, {{flow.dst, flow.demand_gbps}}});
-      }
-    }
-    if (options.aggregate_sources) {
-      for (auto& [src, sinks] : by_source) commodities.push_back({src, sinks});
-    }
-
-    // Directed flow variables for alive links.
-    std::vector<std::vector<int>> y(commodities.size(),
-                                    std::vector<int>(2 * num_links_, -1));
-    for (std::size_t c = 0; c < commodities.size(); ++c) {
-      for (int l = 0; l < num_links_; ++l) {
-        if (!alive[l]) continue;
-        y[c][2 * l + 0] = model_.add_variable(0.0, lp::kInfinity, 0.0);
-        y[c][2 * l + 1] = model_.add_variable(0.0, lp::kInfinity, 0.0);
-      }
-    }
-
-    // Flow conservation (Eq. 2), hard equalities.
-    for (std::size_t c = 0; c < commodities.size(); ++c) {
-      const auto& [source, sinks] = commodities[c];
-      for (int n = 0; n < topology.num_sites(); ++n) {
-        std::vector<lp::Coefficient> coeffs;
-        for (int l = 0; l < num_links_; ++l) {
-          if (!alive[l]) continue;
-          const topo::IpLink& link = topology.link(l);
-          if (link.site_a == n) {
-            coeffs.push_back({y[c][2 * l + 0], 1.0});
-            coeffs.push_back({y[c][2 * l + 1], -1.0});
-          } else if (link.site_b == n) {
-            coeffs.push_back({y[c][2 * l + 1], 1.0});
-            coeffs.push_back({y[c][2 * l + 0], -1.0});
-          }
-        }
-        double rhs = 0.0;
-        if (n == source) {
-          for (const auto& [dst, demand] : sinks) rhs += demand;
-        }
-        const auto sink_it = sinks.find(n);
-        if (sink_it != sinks.end()) rhs -= sink_it->second;
-        if (coeffs.empty() && rhs == 0.0) continue;
-        model_.add_row(rhs, rhs, std::move(coeffs));
-      }
-    }
-
-    // Capacity (Eq. 3): per direction,
-    //   sum_c y - unit_gbps * added_l <= initial_l * base_unit_gbps.
-    for (int l = 0; l < num_links_; ++l) {
-      if (!alive[l]) continue;
-      for (int dir = 0; dir < 2; ++dir) {
-        std::vector<lp::Coefficient> coeffs;
-        for (std::size_t c = 0; c < commodities.size(); ++c) {
-          coeffs.push_back({y[c][2 * l + dir], 1.0});
-        }
-        coeffs.push_back({added_vars_[l], -unit_gbps});
-        model_.add_row(-lp::kInfinity, initial[l] * topology.capacity_unit_gbps(),
-                       std::move(coeffs));
-      }
-    }
+  append_flow_block(model_, topology, kHealthyScenario, /*aggregate_sources=*/true,
+                    /*elastic=*/false, capacity);
+  for (int k : failures) {
+    append_flow_block(model_, topology, k + 1, /*aggregate_sources=*/true,
+                      /*elastic=*/false, capacity);
   }
+}
+
+std::vector<double> PlanningMilp::integer_start(const std::vector<int>& added) const {
+  if (added.size() != static_cast<std::size_t>(num_links_)) {
+    throw std::invalid_argument("integer_start: plan size mismatch");
+  }
+  std::vector<double> start(model_.num_variables(), 0.0);
+  for (int l = 0; l < num_links_; ++l) {
+    start[added_vars_[l]] = multiplier_units(added[l], multiplier_);
+  }
+  return start;
 }
 
 std::vector<int> PlanningMilp::extract_added_units(const std::vector<double>& x) const {

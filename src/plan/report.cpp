@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <stdexcept>
 
 #include "lp/simplex.hpp"
 #include "plan/scenario_lp.hpp"
@@ -12,12 +11,8 @@ namespace np::plan {
 
 PlanReport analyze_plan(const topo::Topology& topology,
                         const std::vector<int>& added_units) {
-  if (added_units.size() != static_cast<std::size_t>(topology.num_links())) {
-    throw std::invalid_argument("analyze_plan: plan size mismatch");
-  }
   PlanReport report;
-  std::vector<int> total = topology.initial_units();
-  for (int l = 0; l < topology.num_links(); ++l) total[l] += added_units[l];
+  const std::vector<int> total = topology.total_units(added_units);
   report.total_cost = topology.plan_cost(added_units);
 
   std::vector<double> worst_utilization(topology.num_links(), -1.0);
@@ -35,8 +30,7 @@ PlanReport analyze_plan(const topo::Topology& topology,
       report.feasible = false;
       continue;
     }
-    const bool ok = solution.objective <= 1e-6 * std::max(1.0, lp.total_demand);
-    if (!ok) {
+    if (!all_demand_served(solution.objective, lp.total_demand)) {
       report.feasible = false;
       std::ostringstream os;
       os << name << ": INFEASIBLE, " << solution.objective << " Gbps unserved";

@@ -64,18 +64,23 @@ const char* to_string(Verdict verdict) {
   return "invalid";
 }
 
-ScenarioLp build_scenario_lp(const topo::Topology& topology, int scenario,
-                             bool aggregate_sources) {
+FlowBlock append_flow_block(lp::Model& model, const topo::Topology& topology,
+                            int scenario, bool aggregate_sources, bool elastic,
+                            const CapacityTerm& capacity) {
   if (scenario < 0 || scenario > topology.num_failures()) {
-    throw std::invalid_argument("build_scenario_lp: scenario out of range");
+    throw std::invalid_argument("append_flow_block: scenario out of range");
   }
   const topo::Failure healthy{};
   const topo::Failure& failure =
       scenario == kHealthyScenario ? healthy : topology.failure(scenario - 1);
 
-  ScenarioLp out;
-  out.failure_index = scenario - 1;
   const int num_links = topology.num_links();
+  if (capacity.bound_gbps.size() != static_cast<std::size_t>(num_links) ||
+      (!capacity.added_var.empty() &&
+       capacity.added_var.size() != static_cast<std::size_t>(num_links))) {
+    throw std::invalid_argument("append_flow_block: capacity term size mismatch");
+  }
+  FlowBlock out;
   out.capacity_row.assign(2 * num_links, -1);
 
   std::vector<bool> alive(num_links);
@@ -95,22 +100,24 @@ ScenarioLp build_scenario_lp(const topo::Topology& topology, int scenario,
     for (int l = 0; l < num_links; ++l) {
       if (!alive[l]) continue;
       for (int dir = 0; dir < 2; ++dir) {
-        y[c][2 * l + dir] = out.model.add_variable(0.0, lp::kInfinity, 0.0);
+        y[c][2 * l + dir] = model.add_variable(0.0, lp::kInfinity, 0.0);
       }
     }
   }
 
   // Elastic slack per (commodity, sink): unserved demand, minimized.
+  // A hard block has none.
   std::vector<std::vector<int>> unserved(num_commodities);
   for (int c = 0; c < num_commodities; ++c) {
     for (const auto& [dst, demand] : commodities[c].sinks) {
       (void)dst;
-      unserved[c].push_back(out.model.add_variable(0.0, demand, 1.0));
+      if (elastic) unserved[c].push_back(model.add_variable(0.0, demand, 1.0));
       out.total_demand += demand;
     }
   }
 
-  // Flow conservation (Eq. 2) per commodity and site, elastic form:
+  // Flow conservation (Eq. 2) per commodity and site; the slacks u
+  // appear only in an elastic block:
   //   out - in + [at source] sum(u) - [at sink d] u_d = Traffic(c, n).
   for (int c = 0; c < num_commodities; ++c) {
     const Commodity& commodity = commodities[c];
@@ -135,17 +142,19 @@ ScenarioLp build_scenario_lp(const topo::Topology& topology, int scenario,
       for (std::size_t k = 0; k < commodity.sinks.size(); ++k) {
         if (commodity.sinks[k].first == n) {
           rhs -= commodity.sinks[k].second;
-          coeffs.push_back({unserved[c][k], -1.0});
+          if (elastic) coeffs.push_back({unserved[c][k], -1.0});
         }
       }
       if (coeffs.empty() && rhs == 0.0) continue;  // isolated, uninvolved site
-      out.model.add_row(rhs, rhs, coeffs);
+      model.add_row(rhs, rhs, coeffs);
     }
   }
 
-  // Link capacity (Eq. 3): one row per direction, upper bound patched by
-  // set_plan_capacities. Spectrum rows are intentionally absent: the
-  // action mask / plan construction already enforces Eq. 4 (§5).
+  // Link capacity (Eq. 3): one row per direction,
+  //   sum_c y - unit_gbps * added_l <= bound_l.
+  // Spectrum rows (Eq. 4) are not part of a flow block: the scenario
+  // LP's plans already respect them (the action mask, §5), and the
+  // planning MILP states them once over all scenarios.
   for (int l = 0; l < num_links; ++l) {
     if (!alive[l]) continue;
     for (int dir = 0; dir < 2; ++dir) {
@@ -153,9 +162,27 @@ ScenarioLp build_scenario_lp(const topo::Topology& topology, int scenario,
       for (int c = 0; c < num_commodities; ++c) {
         coeffs.push_back({y[c][2 * l + dir], 1.0});
       }
-      out.capacity_row[2 * l + dir] = out.model.add_row(-lp::kInfinity, 0.0, coeffs);
+      if (!capacity.added_var.empty()) {
+        coeffs.push_back({capacity.added_var[l], -capacity.unit_gbps});
+      }
+      out.capacity_row[2 * l + dir] =
+          model.add_row(-lp::kInfinity, capacity.bound_gbps[l], coeffs);
     }
   }
+  return out;
+}
+
+ScenarioLp build_scenario_lp(const topo::Topology& topology, int scenario,
+                             bool aggregate_sources) {
+  // No capacity variable: the rows start at bound 0, and
+  // set_plan_capacities patches them per plan.
+  const CapacityTerm patchable{{}, 0.0, std::vector<double>(topology.num_links(), 0.0)};
+  ScenarioLp out;
+  FlowBlock block = append_flow_block(out.model, topology, scenario, aggregate_sources,
+                                      /*elastic=*/true, patchable);
+  out.capacity_row = std::move(block.capacity_row);
+  out.total_demand = block.total_demand;
+  out.failure_index = scenario - 1;
   // The cached evaluators keep every scenario LP resident and re-solve
   // it per check: the matrix is kept once, in the columns the simplex
   // reads in place, and every array the model keeps at its exact size.
@@ -175,6 +202,10 @@ void set_plan_capacities(ScenarioLp& lp, const topo::Topology& topology,
       if (row >= 0) lp.model.set_row_bounds(row, -lp::kInfinity, capacity_gbps);
     }
   }
+}
+
+bool all_demand_served(double unserved_gbps, double total_demand) {
+  return unserved_gbps <= 1e-6 * std::max(1.0, total_demand);
 }
 
 ScenarioCheck solve_scenario(ScenarioLp& lp, const lp::SimplexOptions& base_options,
@@ -247,7 +278,7 @@ ScenarioCheck solve_scenario(ScenarioLp& lp, const lp::SimplexOptions& base_opti
   }
   lp.basis = std::move(solution.basis);
   check.unserved_gbps = solution.objective;
-  check.feasible = solution.objective <= 1e-6 * std::max(1.0, lp.total_demand);
+  check.feasible = all_demand_served(solution.objective, lp.total_demand);
   check.verdict = check.feasible ? Verdict::kFeasible : Verdict::kInfeasible;
   return check;
 }

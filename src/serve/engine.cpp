@@ -228,11 +228,8 @@ Reply Engine::process_check(const Task& task, plan::PlanEvaluator& evaluator,
   reply.id = task.request.id;
 
   // Wire plans are ADDED units; the evaluator checks TOTAL units.
-  std::vector<int> total = topology_.initial_units();
-  NP_ASSERT(total.size() == task.request.plan.size());
-  for (std::size_t l = 0; l < total.size(); ++l) {
-    total[l] += task.request.plan[l];
-  }
+  NP_ASSERT(task.request.plan.size() == static_cast<std::size_t>(topology_.num_links()));
+  const std::vector<int> total = topology_.total_units(task.request.plan);
 
   // Degradation ladder, attempt 0 warm / attempt 1 cold-retried:
   // definitive verdict -> OK; transient failure -> one jittered-backoff

@@ -181,6 +181,17 @@ std::vector<int> Topology::initial_units() const {
   return units;
 }
 
+std::vector<int> Topology::total_units(const std::vector<int>& added) const {
+  if (added.size() != links_.size()) {
+    throw std::invalid_argument("total_units: plan has " + std::to_string(added.size()) +
+                                " entries, topology has " +
+                                std::to_string(links_.size()) + " links");
+  }
+  std::vector<int> units = initial_units();
+  for (int l = 0; l < num_links(); ++l) units[l] += added[l];
+  return units;
+}
+
 void Topology::validate() const {
   require(num_sites() > 0, "no sites");
   require(num_links() > 0, "no IP links");

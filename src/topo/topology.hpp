@@ -176,6 +176,10 @@ class Topology {
   /// Initial per-link unit vector (C^min of Eq. 5).
   std::vector<int> initial_units() const;
 
+  /// Per-link total units of a plan of ADDED units: initial + added.
+  /// Throws std::invalid_argument unless `added` has one entry per link.
+  std::vector<int> total_units(const std::vector<int>& added) const;
+
   /// Full structural validation; throws std::invalid_argument with a
   /// message naming the offending entity.
   void validate() const;

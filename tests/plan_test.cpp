@@ -3,6 +3,9 @@
 // the Figure 1 example and generator presets.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <initializer_list>
 #include <vector>
 
 #include "milp/branch_and_bound.hpp"
@@ -333,8 +336,7 @@ TEST(Formulation, PrunedBoundsRestrictSolution) {
 TEST(Formulation, FailureSubsetRelaxesProblem) {
   topo::Topology t = figure1();
   FormulationOptions options;
-  options.use_all_failures = false;
-  options.failure_subset = {0};  // only the A-E cut
+  options.failures = std::vector<int>{0};  // only the A-E cut
   PlanningMilp milp(t, options);
   milp::MilpResult r = milp::solve(milp.model());
   ASSERT_EQ(r.status, milp::MilpStatus::kOptimal);
@@ -412,7 +414,9 @@ TEST(Formulation, OptionValidation) {
   options.max_added_units = {1};
   EXPECT_THROW(PlanningMilp(t, options), std::invalid_argument);
   options = {};
-  options.failure_subset = {99};
+  options.failures = std::vector<int>{99};
+  EXPECT_THROW(PlanningMilp(t, options), std::invalid_argument);
+  options.failures = std::vector<int>{-1};
   EXPECT_THROW(PlanningMilp(t, options), std::invalid_argument);
 }
 
@@ -432,21 +436,72 @@ TEST(Formulation, PresetAIsSolvableAndEvaluatorConsistent) {
   EXPECT_NEAR(r.objective, t.plan_cost(added), 1e-6);
 }
 
-TEST(Formulation, SourceAggregationPreservesOptimum) {
-  topo::Topology t = figure1();
-  t.add_flow({0, 3, 40.0, topo::CoS::kGold});  // same source as flow 0
-  FormulationOptions agg;
-  agg.aggregate_sources = true;
-  FormulationOptions per_flow;
-  per_flow.aggregate_sources = false;
-  milp::MilpResult a = milp::solve(PlanningMilp(t, agg).model());
-  milp::MilpResult b = milp::solve(PlanningMilp(t, per_flow).model());
-  ASSERT_EQ(a.status, milp::MilpStatus::kOptimal);
-  ASSERT_EQ(b.status, milp::MilpStatus::kOptimal);
-  EXPECT_NEAR(a.objective, b.objective, 1e-6);
-  // Aggregation strictly shrinks the model.
-  EXPECT_LT(PlanningMilp(t, agg).model().num_variables(),
-            PlanningMilp(t, per_flow).model().num_variables());
+/// FNV-1a over the bit patterns of `values`, folded into `hash`.
+void fnv1a_bits(std::initializer_list<double> values, std::uint64_t& hash) {
+  for (const double v : values) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3u;
+    }
+  }
+}
+
+/// Folds everything a solver reads of `model` into `hash`: variable
+/// bounds, objective and integrality, row bounds, and the compressed
+/// columns (row index and coefficient of every entry).
+void fnv1a_model(lp::Model model, std::uint64_t& hash) {
+  model.compress();
+  for (const lp::Variable& v : model.variables()) {
+    fnv1a_bits({v.lower, v.upper, v.objective, v.is_integer ? 1.0 : 0.0}, hash);
+  }
+  for (const lp::Row& row : model.rows()) fnv1a_bits({row.lower, row.upper}, hash);
+  for (int j = 0; j < model.num_variables(); ++j) {
+    fnv1a_bits({static_cast<double>(j)}, hash);
+    for (const auto& [row, value] : model.columns().line(j)) {
+      fnv1a_bits({static_cast<double>(row), value}, hash);
+    }
+  }
+}
+
+TEST(Formulation, ModelsAreBitStable) {
+  // Pins the models the planners solve, bit for bit: the planning MILP
+  // on A-C under default options, a failure subset, coarse units with
+  // bounds and a cost cutoff, and a floor on the additions; then every
+  // scenario LP of B and C in both aggregations. A change to variable
+  // or row order, a coefficient or a bound moves the hash.
+  std::uint64_t hash = 0xcbf29ce484222325u;
+  for (const char id : {'A', 'B', 'C'}) {
+    const topo::Topology t = topo::make_preset(id);
+    const int links = t.num_links();
+    fnv1a_model(PlanningMilp(t, {}).model(), hash);
+
+    FormulationOptions subset;
+    subset.failures.emplace();
+    for (int k = 0; k < t.num_failures(); k += 3) subset.failures->push_back(k);
+    fnv1a_model(PlanningMilp(t, subset).model(), hash);
+
+    FormulationOptions coarse;
+    coarse.unit_multiplier = 4;
+    coarse.max_added_units.resize(links);
+    for (int l = 0; l < links; ++l) coarse.max_added_units[l] = 3 + 2 * (l % 5);
+    coarse.max_total_cost = 1e5;
+    fnv1a_model(PlanningMilp(t, coarse).model(), hash);
+
+    FormulationOptions top_up;
+    top_up.min_added_units.resize(links);
+    for (int l = 0; l < links; ++l) top_up.min_added_units[l] = l % 3;
+    fnv1a_model(PlanningMilp(t, top_up).model(), hash);
+
+    if (id == 'A') continue;
+    for (const bool aggregate : {true, false}) {
+      for (int scenario = 0; scenario <= t.num_failures(); ++scenario) {
+        fnv1a_model(build_scenario_lp(t, scenario, aggregate).model, hash);
+      }
+    }
+  }
+  EXPECT_EQ(hash, 0xf26f0fe80c8bde90u) << "hash 0x" << std::hex << hash;
 }
 
 // Any plan sequence gets the verdicts of fresh models: random plans

@@ -7,13 +7,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <sstream>
 
 #include "core/neuroplan.hpp"
 #include "obs/metrics.hpp"
 #include "rl/env.hpp"
 #include "rl/gae.hpp"
-#include "rl/history.hpp"
 #include "rl/trainer.hpp"
 #include "topo/generator.hpp"
 
@@ -306,35 +304,6 @@ TEST(Trainer, GreedyRolloutProducesVerifiedPlan) {
     for (int l = 0; l < t.num_links(); ++l) total[l] += trainer.best_added_units()[l];
     EXPECT_TRUE(eval.check(total).feasible);
   }
-}
-
-TEST(History, CsvExportRoundTrips) {
-  std::vector<EpochStats> history(2);
-  history[0].epoch = 1;
-  history[0].steps = 100;
-  history[0].trajectories = 4;
-  history[0].feasible_trajectories = 3;
-  history[0].mean_return = -2.5;
-  history[0].best_cost_so_far = 1e300;  // none yet
-  history[0].seconds = 2.5;
-  history[0].rollout_seconds = 1.25;
-  history[1].epoch = 2;
-  history[1].steps = 100;
-  history[1].trajectories = 5;
-  history[1].feasible_trajectories = 5;
-  history[1].mean_return = -1.25;
-  history[1].best_cost_so_far = 123.5;
-  history[1].seconds = 4.5;
-  history[1].rollout_seconds = 3.5;
-  std::ostringstream os;
-  write_history_csv(history, os);
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("epoch,steps,trajectories"), std::string::npos);
-  EXPECT_NE(csv.find("best_cost,seconds,rollout_seconds"), std::string::npos);
-  EXPECT_NE(csv.find("1,100,4,3,-2.5,,2.5,1.25\n"), std::string::npos);  // empty best
-  EXPECT_NE(csv.find("2,100,5,5,-1.25,123.5,4.5,3.5"), std::string::npos);
-  EXPECT_THROW(write_history_csv_file(history, "/nonexistent/dir/x.csv"),
-               std::runtime_error);
 }
 
 void expect_epochs_identical(const std::vector<EpochStats>& a,

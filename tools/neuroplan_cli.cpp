@@ -165,10 +165,8 @@ int cmd_evaluate(int argc, char** argv) {
                  added.size(), t.num_links());
     return 2;
   }
-  std::vector<int> total = t.initial_units();
-  for (int l = 0; l < t.num_links(); ++l) total[l] += added[l];
   plan::PlanEvaluator evaluator(t);
-  const plan::CheckResult r = evaluator.check(total);
+  const plan::CheckResult r = evaluator.check(t.total_units(added));
   std::printf("feasible: %s  cost: %.1f\n", r.feasible ? "yes" : "no",
               t.plan_cost(added));
   if (!r.feasible) {
