@@ -26,12 +26,12 @@ int main() {
     heur_config.relative_gap = 1e-2;
     const core::PlanResult heur = core::solve_ilp_heur(topology, heur_config);
 
-    core::DecompositionConfig decomp_config;
-    decomp_config.regional.time_limit_per_solve_seconds = 15.0;
-    decomp_config.regional.total_time_limit_seconds = 60.0;
-    decomp_config.regional.relative_gap = 1e-2;
+    core::LazySolveConfig regional;
+    regional.time_limit_per_solve_seconds = 15.0;
+    regional.total_time_limit_seconds = 60.0;
+    regional.relative_gap = 1e-2;
     const core::DecompositionResult decomp =
-        core::solve_region_decomposition(topology, decomp_config);
+        core::solve_region_decomposition(topology, regional);
 
     // Capacity-unit enlargement alone: one lazy run at multiplier 4
     // with plenty of rounds (i.e. failure selection disabled as a

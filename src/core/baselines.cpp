@@ -8,6 +8,7 @@
 #include "plan/evaluator.hpp"
 #include "plan/formulation.hpp"
 #include "topo/paths.hpp"
+#include "util/deadline.hpp"
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
 
@@ -17,6 +18,12 @@ namespace {
 
 /// solve_ilp's size limit (see baselines.hpp).
 constexpr int kMaxIlpModelRows = 4000;
+
+/// solve_ilp_heur's capacity-unit enlargement factor (§3.2 "enlarging
+/// the capacity unit that can be added over some or all links") and
+/// its failure-selection round cap.
+constexpr int kHeurUnitMultiplier = 4;
+constexpr int kHeurMaxRounds = 64;
 
 }  // namespace
 
@@ -36,7 +43,7 @@ PlanResult solve_ilp(const topo::Topology& topology, const IlpConfig& config) {
   }
 
   milp::MilpOptions milp_options;
-  milp_options.time_limit_seconds = config.time_limit_seconds;
+  milp_options.deadline = util::Deadline::after_seconds(config.time_limit_seconds);
   milp_options.relative_gap = config.relative_gap;
   const milp::MilpResult solved = milp::solve(milp.model(), milp_options);
 
@@ -60,9 +67,8 @@ PlanResult solve_ilp(const topo::Topology& topology, const IlpConfig& config) {
   return result;
 }
 
-PlanResult solve_greedy(const topo::Topology& topology) {
-  Stopwatch watch;
-  PlanResult result;
+ShortestPathSizing size_by_shortest_paths(const topo::Topology& topology) {
+  ShortestPathSizing sizing;
   const int num_links = topology.num_links();
   std::vector<int> worst(num_links, 0);
 
@@ -79,10 +85,8 @@ PlanResult solve_greedy(const topo::Topology& topology) {
       if (!topology.flow_required(flow, failure)) continue;
       const std::vector<int> path =
           topo::shortest_ip_path(topology, flow.src, flow.dst, usable);
-      if (path.empty()) {
-        result.detail = "greedy: flow disconnected under " + failure.name;
-        result.seconds = watch.seconds();
-        return result;  // infeasible topology for this heuristic
+      if (path.empty() && !sizing.disconnected_under.has_value()) {
+        sizing.disconnected_under = failure.name;
       }
       const int needed = static_cast<int>(
           std::ceil(flow.demand_gbps / topology.capacity_unit_gbps() - 1e-9));
@@ -91,12 +95,25 @@ PlanResult solve_greedy(const topo::Topology& topology) {
     for (int l = 0; l < num_links; ++l) worst[l] = std::max(worst[l], load[l]);
   }
 
-  result.added_units.assign(num_links, 0);
+  sizing.added_units.assign(num_links, 0);
   for (int l = 0; l < num_links; ++l) {
-    const int add = std::max(0, worst[l] - topology.link(l).initial_units);
-    result.added_units[l] =
-        std::min(add, topology.link_max_units(l) - topology.link(l).initial_units);
+    const int initial = topology.link(l).initial_units;
+    sizing.added_units[l] =
+        std::min(std::max(0, worst[l] - initial), topology.link_max_units(l) - initial);
   }
+  return sizing;
+}
+
+PlanResult solve_greedy(const topo::Topology& topology) {
+  Stopwatch watch;
+  PlanResult result;
+  ShortestPathSizing sizing = size_by_shortest_paths(topology);
+  if (sizing.disconnected_under.has_value()) {
+    result.detail = "greedy: flow disconnected under " + *sizing.disconnected_under;
+    result.seconds = watch.seconds();
+    return result;  // infeasible topology for this heuristic
+  }
+  result.added_units = std::move(sizing.added_units);
   result.cost = topology.plan_cost(result.added_units);
   result.seconds = watch.seconds();
   result.detail = "greedy: worst-case shortest-path load";
@@ -120,13 +137,12 @@ PlanResult solve_ilp_heur(const topo::Topology& topology,
   const PlanResult greedy = solve_greedy(topology);
 
   plan::FormulationOptions options;
-  options.unit_multiplier = config.unit_multiplier;
+  options.unit_multiplier = kHeurUnitMultiplier;
   LazySolveConfig lazy;
   lazy.initial_failures = config.initial_failures;
-  lazy.max_rounds = config.max_rounds;
+  lazy.max_rounds = kHeurMaxRounds;
   lazy.time_limit_per_solve_seconds = config.time_limit_per_solve_seconds;
-  lazy.total_time_limit_seconds =
-      config.time_limit_per_solve_seconds * config.max_rounds;
+  lazy.total_time_limit_seconds = config.time_limit_per_solve_seconds * kHeurMaxRounds;
   lazy.relative_gap = config.relative_gap;
   if (greedy.feasible) lazy.seed_added_units = greedy.added_units;
   LazySolveResult solved = lazy_solve(topology, options, lazy);

@@ -6,9 +6,10 @@
 //  * solve_ilp_heur  — today's production practice (§3.2): hand-tuned
 //                      heuristics that prune the search space before
 //                      running the solver. We implement the three the
-//                      paper describes: capacity-unit enlargement,
-//                      iterative failure selection, and warm starts
-//                      from a known-good design (the greedy plan).
+//                      paper describes: capacity-unit enlargement (4x
+//                      units), iterative failure selection (lazy_solve,
+//                      up to 64 rounds) and warm starts from a
+//                      known-good design (the greedy plan).
 //  * solve_greedy    — shortest-path overprovisioning: per scenario,
 //                      route every required flow on its shortest
 //                      surviving path; per link take the worst-case
@@ -16,12 +17,17 @@
 //                      cheap; used as warm start and sanity baseline.
 #pragma once
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "core/planner.hpp"
 #include "milp/branch_and_bound.hpp"
 
 namespace np::core {
 
 struct IlpConfig {
+  /// Wall-clock budget of the MILP solve; +inf = unlimited.
   double time_limit_seconds = 300.0;
   double relative_gap = 1e-4;
 };
@@ -33,13 +39,10 @@ struct IlpConfig {
 PlanResult solve_ilp(const topo::Topology& topology, const IlpConfig& config = {});
 
 struct IlpHeurConfig {
-  /// Capacity-unit enlargement factor (§3.2 "enlarging the capacity
-  /// unit that can be added over some or all links").
-  int unit_multiplier = 4;
   /// Failure-selection loop: start from the healthy network plus this
   /// many failures, then add violated scenarios until the plan passes.
   int initial_failures = 2;
-  int max_rounds = 64;
+  /// Per-round MILP budget; the loop's total is 64 rounds' worth.
   double time_limit_per_solve_seconds = 60.0;
   double relative_gap = 1e-3;
 };
@@ -48,5 +51,17 @@ PlanResult solve_ilp_heur(const topo::Topology& topology,
                           const IlpHeurConfig& config = {});
 
 PlanResult solve_greedy(const topo::Topology& topology);
+
+/// solve_greedy's worst-case shortest-path load per link, as added units
+/// clamped into [0, max - initial]; the decomposition sizes its
+/// inter-regional links with it too.
+struct ShortestPathSizing {
+  std::vector<int> added_units;
+  /// Name of the first scenario under which a required flow has no
+  /// surviving path (its load is left out); nullopt when none does.
+  std::optional<std::string> disconnected_under;
+};
+
+ShortestPathSizing size_by_shortest_paths(const topo::Topology& topology);
 
 }  // namespace np::core

@@ -1,7 +1,6 @@
 #include "core/decomposition.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <set>
 
@@ -21,30 +20,6 @@ int link_region(const topo::Topology& t, int link) {
   const int ra = t.site(l.site_a).region;
   const int rb = t.site(l.site_b).region;
   return ra == rb ? ra : -1;
-}
-
-/// Worst-case shortest-path load per link over all scenarios — the
-/// "sizing inter-regional links" step, reused from the greedy design
-/// but applied only where asked.
-std::vector<int> worst_case_sp_load(const topo::Topology& t) {
-  std::vector<int> worst(t.num_links(), 0);
-  for (int scenario = -1; scenario < t.num_failures(); ++scenario) {
-    const topo::Failure healthy{};
-    const topo::Failure& failure = scenario < 0 ? healthy : t.failure(scenario);
-    std::vector<bool> usable(t.num_links());
-    for (int l = 0; l < t.num_links(); ++l) usable[l] = !t.link_failed(l, failure);
-    std::vector<int> load(t.num_links(), 0);
-    for (int f = 0; f < t.num_flows(); ++f) {
-      const topo::Flow& flow = t.flow(f);
-      if (!t.flow_required(flow, failure)) continue;
-      const auto path = topo::shortest_ip_path(t, flow.src, flow.dst, usable);
-      const int needed = static_cast<int>(
-          std::ceil(flow.demand_gbps / t.capacity_unit_gbps() - 1e-9));
-      for (int l : path) load[l] += needed;
-    }
-    for (int l = 0; l < t.num_links(); ++l) worst[l] = std::max(worst[l], load[l]);
-  }
-  return worst;
 }
 
 /// Build the sub-topology of one region plus index maps back to the
@@ -167,7 +142,7 @@ SubProblem build_region_subproblem(const topo::Topology& t, int region) {
 }  // namespace
 
 DecompositionResult solve_region_decomposition(const topo::Topology& topology,
-                                               const DecompositionConfig& config) {
+                                               const LazySolveConfig& regional) {
   Stopwatch watch;
   DecompositionResult result;
 
@@ -177,24 +152,19 @@ DecompositionResult solve_region_decomposition(const topo::Topology& topology,
   }
   result.regions = static_cast<int>(regions.size());
 
-  // Inter-regional links: sized by worst-case shortest-path load.
-  const std::vector<int> worst = worst_case_sp_load(topology);
+  // Inter-regional links: sized by worst-case shortest-path load. A
+  // disconnected flow is left to the stitch check to catch.
+  const std::vector<int> sp_units = size_by_shortest_paths(topology).added_units;
   std::vector<int> added(topology.num_links(), 0);
-  const std::vector<int> initial = topology.initial_units();
   for (int l = 0; l < topology.num_links(); ++l) {
-    if (link_region(topology, l) >= 0) continue;
-    const int add = std::max(0, worst[l] - initial[l]);
-    added[l] = std::min(add, topology.link_max_units(l) - initial[l]);
+    if (link_region(topology, l) < 0) added[l] = sp_units[l];
   }
 
   // Regional sub-ILPs.
   for (int region : regions) {
     SubProblem sub = build_region_subproblem(topology, region);
     if (sub.empty) continue;
-    plan::FormulationOptions options;
-    options.unit_multiplier = config.unit_multiplier;
-    const LazySolveResult solved =
-        lazy_solve(sub.topology, options, config.regional);
+    const LazySolveResult solved = lazy_solve(sub.topology, {}, regional);
     if (solved.plan.feasible) {
       for (int sl = 0; sl < sub.topology.num_links(); ++sl) {
         added[sub.parent_link[sl]] =
@@ -206,9 +176,7 @@ DecompositionResult solve_region_decomposition(const topo::Topology& topology,
                solved.plan.detail, "); sizing by shortest-path load");
       for (int sl = 0; sl < sub.topology.num_links(); ++sl) {
         const int l = sub.parent_link[sl];
-        const int add = std::max(0, worst[l] - initial[l]);
-        added[l] = std::max(added[l],
-                            std::min(add, topology.link_max_units(l) - initial[l]));
+        added[l] = std::max(added[l], sp_units[l]);
       }
     }
   }

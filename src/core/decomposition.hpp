@@ -6,7 +6,8 @@
 // done manually."
 //
 // Automated rendition: regions come from Site::region; inter-regional
-// links are sized by worst-case shortest-path load over all scenarios;
+// links are sized by worst-case shortest-path load over all scenarios
+// (size_by_shortest_paths, the greedy design's sizing);
 // each region becomes a sub-topology (its sites, fibers, links, the
 // healthy-path-induced internal flow segments, and the failures that
 // touch it) solved independently with the lazy MILP; the stitched plan
@@ -20,12 +21,6 @@
 
 namespace np::core {
 
-struct DecompositionConfig {
-  /// Per-region MILP budget.
-  LazySolveConfig regional;
-  int unit_multiplier = 1;
-};
-
 struct DecompositionResult {
   PlanResult plan;
   int regions = 0;
@@ -33,7 +28,9 @@ struct DecompositionResult {
   bool repaired = false;
 };
 
+/// `regional` configures each region's lazy MILP (budget, gap) at base
+/// capacity units.
 DecompositionResult solve_region_decomposition(const topo::Topology& topology,
-                                               const DecompositionConfig& config = {});
+                                               const LazySolveConfig& regional = {});
 
 }  // namespace np::core

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "plan/evaluator.hpp"
+#include "util/deadline.hpp"
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
 
@@ -14,6 +15,8 @@ LazySolveResult lazy_solve(const topo::Topology& topology,
                            plan::FormulationOptions base,
                            const LazySolveConfig& config) {
   Stopwatch watch;
+  const util::Deadline total =
+      util::Deadline::after_seconds(config.total_time_limit_seconds);
   LazySolveResult result;
   plan::PlanEvaluator evaluator(topology);
 
@@ -63,9 +66,8 @@ LazySolveResult lazy_solve(const topo::Topology& topology,
 
   // Top up `plan` so it also survives `failure_index`, changing nothing
   // else (sound: capacity growth preserves already-satisfied scenarios).
-  auto repair_for_scenario = [&](const std::vector<int>& plan,
-                                 int failure_index,
-                                 double budget_seconds) -> std::vector<int> {
+  auto repair_for_scenario = [&](const std::vector<int>& plan, int failure_index,
+                                 const util::Deadline& deadline) -> std::vector<int> {
     plan::FormulationOptions repair = base;
     repair.min_added_units = plan;
     repair.failures = std::vector<int>{failure_index};
@@ -73,7 +75,7 @@ LazySolveResult lazy_solve(const topo::Topology& topology,
     plan::PlanningMilp milp(topology, repair);
     milp::MilpOptions options;
     options.relative_gap = 0.05;  // any cheap top-up will do
-    options.time_limit_seconds = budget_seconds;
+    options.deadline = deadline;
     const milp::MilpResult solved = milp::solve(milp.model(), options);
     if (!solved.has_incumbent) return {};
     return milp.extract_added_units(solved.x);
@@ -83,9 +85,9 @@ LazySolveResult lazy_solve(const topo::Topology& topology,
   // by repairing violated scenarios one at a time. Capacity only grows,
   // so each repaired scenario stays repaired and the loop terminates in
   // at most num_failures small MILPs. Runs when the round loop exits
-  // with a promising round plan that never survived every scenario.
-  auto repair_to_feasibility = [&](std::vector<int> plan, double budget_seconds) {
-    Stopwatch finisher_watch;
+  // with a promising round plan that never survived every scenario,
+  // under a grace deadline of its own (docs/INTERNALS.md §3).
+  auto repair_to_feasibility = [&](std::vector<int> plan, const util::Deadline& grace) {
     for (int pass = 0; pass <= topology.num_failures(); ++pass) {
       if (have_best && topology.plan_cost(plan) >= best_cost) return;  // pointless
       const plan::CheckResult check = check_full(plan);
@@ -99,10 +101,10 @@ LazySolveResult lazy_solve(const topo::Topology& topology,
         }
         return;
       }
-      const double remaining = budget_seconds - finisher_watch.seconds();
-      if (remaining <= 0.5 || check.violated_scenario < 1) return;
+      if (grace.remaining_seconds() <= 0.5 || check.violated_scenario < 1) return;
       std::vector<int> repaired = repair_for_scenario(
-          plan, check.violated_scenario - 1, std::min(5.0, remaining));
+          plan, check.violated_scenario - 1,
+          util::Deadline::earliest(grace, util::Deadline::after_seconds(5.0)));
       if (repaired.empty()) return;
       plan = std::move(repaired);
     }
@@ -111,7 +113,8 @@ LazySolveResult lazy_solve(const topo::Topology& topology,
   auto finish = [&](bool timed_out, std::string detail) {
     if (!round_seed.empty()) {
       repair_to_feasibility(round_seed,
-                            std::max(20.0, 0.3 * config.total_time_limit_seconds));
+                            util::Deadline::after_seconds(std::max(
+                                20.0, 0.3 * config.total_time_limit_seconds)));
     }
     result.plan.timed_out = timed_out;
     result.plan.detail = std::move(detail);
@@ -137,13 +140,12 @@ LazySolveResult lazy_solve(const topo::Topology& topology,
     milp::MilpOptions milp_options;
     if (!seed.empty()) milp_options.integer_warm_start = &seed;
     milp_options.relative_gap = config.relative_gap;
-    milp_options.time_limit_seconds =
-        std::min(config.time_limit_per_solve_seconds,
-                 config.total_time_limit_seconds - watch.seconds());
-    if (milp_options.time_limit_seconds <= 0.0) {
+    if (total.expired()) {
       return finish(true, "lazy: total time limit after " +
                               std::to_string(result.rounds - 1) + " rounds");
     }
+    milp_options.deadline = util::Deadline::earliest(
+        total, util::Deadline::after_seconds(config.time_limit_per_solve_seconds));
     const milp::MilpResult solved = milp::solve(milp.model(), milp_options);
 
     if (!solved.has_incumbent) {
@@ -197,12 +199,12 @@ LazySolveResult lazy_solve(const topo::Topology& topology,
     // feasible for the whole new selected set and becomes the next
     // round's warm start (and a best-plan candidate when it happens to
     // survive everything).
-    const double repair_budget = std::min(
-        {10.0, config.time_limit_per_solve_seconds / 2.0,
-         config.total_time_limit_seconds - watch.seconds()});
-    if (repair_budget > 0.5) {
+    const util::Deadline repair_deadline = util::Deadline::earliest(
+        total, util::Deadline::after_seconds(
+                   std::min(10.0, config.time_limit_per_solve_seconds / 2.0)));
+    if (repair_deadline.remaining_seconds() > 0.5) {
       std::vector<int> repaired =
-          repair_for_scenario(added, violated_failure, repair_budget);
+          repair_for_scenario(added, violated_failure, repair_deadline);
       // A repaired plan above the caller's cost cutoff would violate the
       // cutoff row next round; fall back to the overall-feasible best.
       if (!repaired.empty() && base.max_total_cost > 0.0 &&

@@ -29,7 +29,17 @@
 // models stay resident and warm-start across rounds. A check whose plan
 // only adds units to the one checked before it (a repair's top-up of a
 // round's plan) skips the scenarios that plan survived; other checks
-// start at scenario 0.
+// start at scenario 0. The checks carry no time budget.
+//
+// Budgets: the call turns total_time_limit_seconds into one deadline at
+// entry. Each round's MILP gets the earlier of it and
+// time_limit_per_solve_seconds from the round's start; each in-loop
+// repair the earlier of it and min(10 s, per-solve / 2), and runs only
+// when more than 0.5 s of that is left. Once the loop stops, the
+// finisher gets a grace deadline of max(20 s, 0.3 * total) from then,
+// so a call can run past its total by that much; each finisher repair
+// gets the earlier of the grace and 5 s. Every MILP passes its deadline
+// unchanged to each LP it solves.
 #pragma once
 
 #include <string>

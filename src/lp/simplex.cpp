@@ -31,6 +31,10 @@ const char* to_string(SolveStatus status) {
 namespace {
 
 constexpr double kPivotTolerance = 1e-9;
+// A basic variable this far past a bound is infeasible; a reduced cost
+// this far past zero in a direction its variable can move prices it in.
+constexpr double kFeasibilityTolerance = 1e-7;
+constexpr double kOptimalityTolerance = 1e-7;
 
 // Partial-pricing candidate list sizing. The list holds at most
 // kMaxCandidates (column, score) pairs; a refill scan stops once it
@@ -95,11 +99,11 @@ class Simplex {
       // pivots instead of a full phase-1 restart.
       fix_artificials();
       set_phase2_costs();
-      const std::optional<SolveStatus> repaired = dual_iterate(watch);
+      const std::optional<SolveStatus> repaired = dual_iterate();
       if (repaired.has_value()) {
         solution.start_path = StartPath::kDualRepair;
         if (*repaired == SolveStatus::kOptimal) {
-          const SolveStatus st = phase2_verified(watch);
+          const SolveStatus st = phase2_verified();
           finish(solution, st, watch);
           return solution;
         }
@@ -122,7 +126,7 @@ class Simplex {
     // turned out infeasible, re-cold-start) to zero total.
     if (warm == WarmState::kNone && needs_phase1_) {
       set_phase1_costs();
-      const SolveStatus st = iterate(watch, /*phase1=*/true);
+      const SolveStatus st = iterate(/*phase1=*/true);
       if (st != SolveStatus::kOptimal) {
         finish(solution, st, watch);
         return solution;
@@ -130,7 +134,7 @@ class Simplex {
       // The infeasibility verdict must be read off exact basic values,
       // not the incrementally-updated (drift-prone) ones.
       refresh_factorization();
-      if (phase_objective() > 1e3 * options_.feasibility_tolerance) {
+      if (phase_objective() > 1e3 * kFeasibilityTolerance) {
         finish(solution, SolveStatus::kInfeasible, watch);
         return solution;
       }
@@ -141,7 +145,7 @@ class Simplex {
     fix_artificials();
 
     set_phase2_costs();
-    const SolveStatus st = phase2_verified(watch);
+    const SolveStatus st = phase2_verified();
     finish(solution, st, watch);
     return solution;
   }
@@ -242,8 +246,8 @@ class Simplex {
     for (int r = 0; r < m_; ++r) {
       const int slack = n_struct_ + r;
       const int art = n_real_ + r;
-      if (activity[r] >= lb_[slack] - options_.feasibility_tolerance &&
-          activity[r] <= ub_[slack] + options_.feasibility_tolerance) {
+      if (activity[r] >= lb_[slack] - kFeasibilityTolerance &&
+          activity[r] <= ub_[slack] + kFeasibilityTolerance) {
         status_[slack] = VarStatus::kBasic;
         val_[slack] = activity[r];
         basis_[r] = slack;
@@ -265,7 +269,7 @@ class Simplex {
       val_[art] = std::abs(residual);
       status_[art] = VarStatus::kBasic;
       basis_[r] = art;
-      if (val_[art] > options_.feasibility_tolerance) needs_phase1_ = true;
+      if (val_[art] > kFeasibilityTolerance) needs_phase1_ = true;
     }
     if (!refactor()) {
       throw std::logic_error("Simplex: crash basis must be invertible");
@@ -325,8 +329,8 @@ class Simplex {
     needs_phase1_ = false;
     for (int r = 0; r < m_; ++r) {
       const int j = basis_[r];
-      if (val_[j] < lb_[j] - options_.feasibility_tolerance ||
-          val_[j] > ub_[j] + options_.feasibility_tolerance) {
+      if (val_[j] < lb_[j] - kFeasibilityTolerance ||
+          val_[j] > ub_[j] + kFeasibilityTolerance) {
         return WarmState::kBasisOnly;  // valid basis, primal infeasible
       }
     }
@@ -341,7 +345,7 @@ class Simplex {
   ///   kTime/IterLimit — resource limits;
   ///   nullopt         — not dual feasible / too many degenerate pivots:
   ///                     caller should cold start.
-  std::optional<SolveStatus> dual_iterate(const Stopwatch& watch) {
+  std::optional<SolveStatus> dual_iterate() {
     std::vector<double> y, rho, w;
     // Initial dual feasibility check against phase-2 costs.
     compute_duals(y);
@@ -372,10 +376,7 @@ class Simplex {
     // spurious ray).
     bool verified_terminal = false;
     for (;;) {
-      if (watch.seconds() > options_.time_limit_seconds ||
-          options_.deadline.expired()) {
-        return SolveStatus::kTimeLimit;
-      }
+      if (options_.deadline.expired()) return SolveStatus::kTimeLimit;
       if (iterations_ >= options_.max_iterations) {
         return SolveStatus::kIterationLimit;
       }
@@ -385,7 +386,7 @@ class Simplex {
 
       // Leaving variable: the most bound-violated basic.
       int p_leave = -1;
-      double worst = options_.feasibility_tolerance;
+      double worst = kFeasibilityTolerance;
       bool above_upper = false;
       for (int p = 0; p < m_; ++p) {
         const int bj = basis_[p];
@@ -527,7 +528,7 @@ class Simplex {
   }
 
   bool basics_within_bounds() const {
-    const double tol = options_.feasibility_tolerance;
+    const double tol = kFeasibilityTolerance;
     for (int p = 0; p < m_; ++p) {
       const int j = basis_[p];
       if (!std::isfinite(val_[j])) return false;
@@ -550,13 +551,13 @@ class Simplex {
   /// duals are optimal at this point, so dual repair preserves
   /// optimality) and re-polish. A basis that cannot be verified within
   /// a few rounds is handed to solve()'s conservative cold retry.
-  SolveStatus phase2_verified(const Stopwatch& watch) {
+  SolveStatus phase2_verified() {
     for (int attempt = 0; attempt < 3; ++attempt) {
-      const SolveStatus st = iterate(watch, /*phase1=*/false);
+      const SolveStatus st = iterate(/*phase1=*/false);
       if (st != SolveStatus::kOptimal) return st;
       refresh_factorization();
       if (basics_within_bounds()) return SolveStatus::kOptimal;
-      const std::optional<SolveStatus> repaired = dual_iterate(watch);
+      const std::optional<SolveStatus> repaired = dual_iterate();
       if (!repaired.has_value()) break;
       if (*repaired != SolveStatus::kOptimal) return *repaired;
     }
@@ -585,7 +586,7 @@ class Simplex {
       NP_ASSERT(status_[basis_[p]] == VarStatus::kBasic,
                 where, ": variable ", basis_[p], " in the basis but not marked basic");
     }
-    const double tol = options_.feasibility_tolerance;
+    const double tol = kFeasibilityTolerance;
     for (int j = 0; j < n_total_; ++j) {
       NP_ASSERT(!(lb_[j] > ub_[j]),
                 where, ": bound inversion on variable ", j,
@@ -778,15 +779,15 @@ class Simplex {
     double d = cost_[j];
     for (const auto& [r, coeff] : col(j)) d -= y[r] * coeff;
     if (status_[j] == VarStatus::kAtLower &&
-        d < -options_.optimality_tolerance) {
+        d < -kOptimalityTolerance) {
       *dir = +1; *violation = -d; return true;
     }
     if (status_[j] == VarStatus::kAtUpper &&
-        d > options_.optimality_tolerance) {
+        d > kOptimalityTolerance) {
       *dir = -1; *violation = d; return true;
     }
     if (status_[j] == VarStatus::kNonbasicFree &&
-        std::abs(d) > options_.optimality_tolerance) {
+        std::abs(d) > kOptimalityTolerance) {
       *dir = d < 0.0 ? +1 : -1; *violation = std::abs(d); return true;
     }
     return false;
@@ -915,7 +916,7 @@ class Simplex {
 
   // ---- main loop ----
 
-  SolveStatus iterate(const Stopwatch& watch, bool phase1) {
+  SolveStatus iterate(bool phase1) {
     std::vector<double> y, w;
     int degenerate_streak = 0;
     int pivots_since_refactor = 0;
@@ -926,10 +927,7 @@ class Simplex {
     obs::HeartbeatScope heartbeat("hb.lp_solve");
     for (;;) {
       if (iterations_ >= options_.max_iterations) return SolveStatus::kIterationLimit;
-      if (watch.seconds() > options_.time_limit_seconds ||
-          options_.deadline.expired()) {
-        return SolveStatus::kTimeLimit;
-      }
+      if (options_.deadline.expired()) return SolveStatus::kTimeLimit;
       ++iterations_;
       if ((iterations_ & 127) == 0) heartbeat.beat(iterations_);
 
@@ -1096,7 +1094,7 @@ class Simplex {
       // Optimal points must respect the variable bounds (within the
       // feasibility tolerance) and be finite.
       {
-        const double tol = options_.feasibility_tolerance;
+        const double tol = kFeasibilityTolerance;
         for (int j = 0; j < n_struct_; ++j) {
           NP_ASSERT(std::isfinite(val_[j]),
                     "Simplex::finish: non-finite value for variable ", j);
@@ -1199,9 +1197,10 @@ Solution solve_impl(const Model& model, const SimplexOptions& options,
     throw;  // contract bugs must surface, never be retried away
   } catch (const std::logic_error&) {
     // Numerically singular basis from accumulated product-form drift.
-    // Retry once, cold, with frequent refactorization; if even that
-    // fails, report a resource-limit status instead of crashing the
-    // caller (branch-and-bound treats it like any other failed node).
+    // Retry once, cold, with frequent refactorization and the same
+    // deadline; if even that fails, report a resource-limit status
+    // instead of crashing the caller (branch-and-bound treats it like
+    // any other failed node).
     static obs::Counter& singular_retries = obs::counter("lp.singular_retries");
     singular_retries.add(1);
     SimplexOptions conservative = options;
@@ -1228,7 +1227,7 @@ void record_solve_metrics(const Solution& solution) {
   solves.add(1);
   iterations.add(solution.iterations);
   // Resource-limit verdicts feed the degradation dashboards: a solve
-  // stopped by its wall-clock deadline/time limit or iteration cap is a
+  // stopped by its wall-clock deadline or iteration cap is a
   // recovery event upstream (scenario reported unknown, env degrades).
   if (solution.status == SolveStatus::kTimeLimit) {
     static obs::Counter& c = obs::counter("lp.deadline_hits");

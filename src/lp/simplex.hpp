@@ -28,7 +28,9 @@
 // overhead. Large models price over a sharded partial-pricing candidate
 // list (optimality is only declared after a full failed sweep with
 // current duals), with an automatic Bland fallback against cycling;
-// the ratio test supports bound flips.
+// the ratio test supports bound flips. The feasibility and optimality
+// tolerances (1e-7) are fixed; a solve is bounded by an iteration cap
+// and one wall-clock deadline (SimplexOptions).
 //
 // Scale target: the NeuroPlan plan-evaluator feasibility LPs (hundreds
 // of rows, a few thousand columns) and the pruned planning ILPs solved
@@ -73,15 +75,13 @@ struct Basis {
 };
 
 struct SimplexOptions {
-  double feasibility_tolerance = 1e-7;
-  double optimality_tolerance = 1e-7;
   long max_iterations = 200000;
-  double time_limit_seconds = kInfinity;
-  /// Absolute wall-clock deadline shared across a batch of solves (one
-  /// scenario sweep, one branch-and-bound dive, ...). Checked alongside
-  /// time_limit_seconds; whichever trips first ends the solve with
-  /// SolveStatus::kTimeLimit. Defaults to unlimited, which costs one
-  /// branch per iteration.
+  /// Absolute wall-clock deadline, shared by every solve under one
+  /// budget (a scenario check, a MILP's nodes, ...). Both simplex loops
+  /// test it before each iteration and end the solve with
+  /// SolveStatus::kTimeLimit once it passes; a singular basis's cold
+  /// retry runs under the same deadline. Defaults to unlimited, which
+  /// costs one branch per iteration and reads no clock.
   util::Deadline deadline{};
   /// Basis to start from. Also selects the pricing rule: Dantzig when
   /// set (even if the basis is rejected and the solve starts cold),

@@ -9,7 +9,6 @@
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
-#include "util/stopwatch.hpp"
 
 namespace np::milp {
 
@@ -28,6 +27,9 @@ namespace {
 
 /// A value within this distance of an integer counts as integral.
 constexpr double kIntegralityTolerance = 1e-6;
+
+/// The rounding heuristic runs at the root and every this many nodes.
+constexpr long kHeuristicInterval = 20;
 
 /// One branching decision; nodes share ancestors through shared_ptr
 /// chains so storing a node is O(1) instead of O(num integer vars).
@@ -62,6 +64,7 @@ class BranchAndBound {
     // Every node, heuristic and warm-start LP re-solves the working copy
     // with other bounds: compressed once, its columns are read in place.
     work_.compress();
+    lp_options_.deadline = options.deadline;
     for (int j = 0; j < model.num_variables(); ++j) {
       if (model.variable(j).is_integer) integer_vars_.push_back(j);
     }
@@ -71,20 +74,19 @@ class BranchAndBound {
     NP_SPAN("milp.solve");
     static obs::Counter& solves = obs::counter("milp.solves");
     solves.add(1);
-    Stopwatch watch;
     MilpResult result;
-    try_integer_warm_start(result, watch);
+    try_integer_warm_start(result);
 
     std::priority_queue<Node, std::vector<Node>, NodeOrder> open;
     open.push(Node{});
     double best_open_bound = -lp::kInfinity;
 
     while (!open.empty()) {
-      if (watch.seconds() > options_.time_limit_seconds) {
-        return finish(result, MilpStatus::kTimeLimit, best_open_bound, watch);
+      if (options_.deadline.expired()) {
+        return finish(result, MilpStatus::kTimeLimit, best_open_bound);
       }
-      if (result.nodes_explored >= options_.max_nodes) {
-        return finish(result, MilpStatus::kNodeLimit, best_open_bound, watch);
+      if (nodes_explored_ >= options_.max_nodes) {
+        return finish(result, MilpStatus::kNodeLimit, best_open_bound);
       }
       Node node = open.top();
       open.pop();
@@ -93,32 +95,24 @@ class BranchAndBound {
           node.bound >= result.objective - absolute_gap_slack(result.objective)) {
         continue;  // pruned by bound
       }
-      ++result.nodes_explored;
+      ++nodes_explored_;
       static obs::Counter& nodes = obs::counter("milp.nodes");
       nodes.add(1);
 
       if (!apply_bounds(node.chain)) continue;
-      lp::SimplexOptions lp_opts;
-      lp_opts.time_limit_seconds = options_.time_limit_seconds - watch.seconds();
+      lp::SimplexOptions lp_opts = lp_options_;
       if (node.parent_basis != nullptr) lp_opts.warm_start = node.parent_basis.get();
       lp::Solution relax = lp::solve(work_, lp_opts);
-      result.lp_iterations += relax.iterations;
 
       if (relax.status == lp::SolveStatus::kTimeLimit) {
-        return finish(result, MilpStatus::kTimeLimit, best_open_bound, watch);
+        return finish(result, MilpStatus::kTimeLimit, best_open_bound);
       }
       if (relax.status == lp::SolveStatus::kUnbounded) {
-        if (node.depth == 0 && !result.has_incumbent) {
-          result.status = MilpStatus::kUnbounded;
-          result.solve_seconds = watch.seconds();
-          return result;
-        }
         // An unbounded subproblem with an incumbent cannot be pruned
         // soundly in general, but with bounded integer variables (our
         // planning models) it means the continuous part is unbounded
         // and the whole MILP is too.
         result.status = MilpStatus::kUnbounded;
-        result.solve_seconds = watch.seconds();
         return result;
       }
       if (relax.status != lp::SolveStatus::kOptimal) continue;  // infeasible node
@@ -133,14 +127,13 @@ class BranchAndBound {
         // Integral: new incumbent.
         accept_incumbent(result, relax.x, relax.objective);
         if (gap_closed(result, open.empty() ? relax.objective : best_open_bound)) {
-          return finish(result, MilpStatus::kOptimal, best_open_bound, watch);
+          return finish(result, MilpStatus::kOptimal, best_open_bound);
         }
         continue;
       }
 
-      if (options_.heuristic_interval > 0 &&
-          result.nodes_explored % options_.heuristic_interval == 1) {
-        rounding_heuristic(result, relax.x, watch);
+      if (nodes_explored_ % kHeuristicInterval == 1) {
+        rounding_heuristic(result, relax.x);
       }
 
       const double value = relax.x[branch_var];
@@ -157,11 +150,10 @@ class BranchAndBound {
 
     // Queue exhausted: the incumbent (if any) is optimal.
     if (result.has_incumbent) {
-      return finish(result, MilpStatus::kOptimal, result.objective, watch);
+      return finish(result, MilpStatus::kOptimal, result.objective);
     }
     result.status = MilpStatus::kInfeasible;
     result.best_bound = lp::kInfinity;
-    result.solve_seconds = watch.seconds();
     return result;
   }
 
@@ -175,7 +167,7 @@ class BranchAndBound {
     return result.objective - bound <= absolute_gap_slack(result.objective);
   }
 
-  void try_integer_warm_start(MilpResult& result, const Stopwatch& watch) {
+  void try_integer_warm_start(MilpResult& result) {
     const std::vector<double>* start = options_.integer_warm_start;
     if (start == nullptr) return;
     if (start->size() != static_cast<std::size_t>(model_.num_variables())) {
@@ -185,15 +177,14 @@ class BranchAndBound {
     std::vector<double> target;
     target.reserve(integer_vars_.size());
     for (int j : integer_vars_) target.push_back(std::round((*start)[j]));
-    fix_and_resolve(result, target, watch);
+    fix_and_resolve(result, target);
   }
 
   /// Fixes the k-th integer variable to target[k], clamped into its
   /// current bounds, re-solves the continuous LP and offers an optimal
   /// point as an incumbent; then restores the bounds. Skips the solve
   /// when a clamped target is not integral.
-  void fix_and_resolve(MilpResult& result, const std::vector<double>& target,
-                       const Stopwatch& watch) {
+  void fix_and_resolve(MilpResult& result, const std::vector<double>& target) {
     std::vector<std::pair<double, double>> saved;
     saved.reserve(integer_vars_.size());
     bool applicable = true;
@@ -209,10 +200,7 @@ class BranchAndBound {
       work_.set_variable_bounds(j, fixed, fixed);
     }
     if (applicable) {
-      lp::SimplexOptions lp_opts;
-      lp_opts.time_limit_seconds = options_.time_limit_seconds - watch.seconds();
-      lp::Solution fixed = lp::solve(work_, lp_opts);
-      result.lp_iterations += fixed.iterations;
+      lp::Solution fixed = lp::solve(work_, lp_options_);
       if (fixed.status == lp::SolveStatus::kOptimal) {
         accept_incumbent(result, fixed.x, fixed.objective);
       }
@@ -269,12 +257,11 @@ class BranchAndBound {
 
   /// Rounds every integer variable of the node's LP point up (capacity
   /// models stay feasible when capacities only grow) and tries it.
-  void rounding_heuristic(MilpResult& result, const std::vector<double>& x,
-                          const Stopwatch& watch) {
+  void rounding_heuristic(MilpResult& result, const std::vector<double>& x) {
     std::vector<double> target;
     target.reserve(integer_vars_.size());
     for (int j : integer_vars_) target.push_back(std::ceil(x[j] - kIntegralityTolerance));
-    fix_and_resolve(result, target, watch);
+    fix_and_resolve(result, target);
   }
 
   void accept_incumbent(MilpResult& result, std::vector<double> x, double objective) {
@@ -302,8 +289,7 @@ class BranchAndBound {
     log_debug("milp: incumbent ", objective);
   }
 
-  MilpResult finish(MilpResult& result, MilpStatus status, double bound,
-                    const Stopwatch& watch) {
+  MilpResult finish(MilpResult& result, MilpStatus status, double bound) {
     result.status = status;
     result.best_bound = status == MilpStatus::kOptimal && result.has_incumbent
                             ? result.objective
@@ -313,14 +299,15 @@ class BranchAndBound {
                    std::max(1.0, std::abs(result.objective));
       result.gap = std::max(result.gap, 0.0);
     }
-    result.solve_seconds = watch.seconds();
     return result;
   }
 
   const lp::Model& model_;
   const MilpOptions& options_;
   lp::Model work_;
+  lp::SimplexOptions lp_options_;  ///< every LP stops on the MILP's deadline
   std::vector<int> integer_vars_;
+  long nodes_explored_ = 0;
 };
 
 }  // namespace

@@ -2,22 +2,25 @@
 //
 // Layers integrality (Variable::is_integer) on top of the np::lp
 // simplex: best-first node selection on the LP bound, most-fractional
-// branching, and time / node / gap limits. One fix-and-resolve routine
-// (fix every integer variable to a target, re-solve the continuous LP,
-// offer the result as an incumbent) serves both the optional integer
-// warm start (the paper's §3.2 "warm-start to feed potential feasible
-// solutions to ILP solvers"; targets round(start_j)) and the rounding
-// heuristic that finds incumbents early (targets ceil(x_j - tol)). The
-// integrality tolerance (1e-6) and the simplex options of every LP are
-// fixed. This is the role Gurobi's MIP engine plays in the paper; the
-// pruned second-stage NeuroPlan ILPs and the exact/heuristic baselines
-// all run through it.
+// branching, and deadline / node / gap limits. One fix-and-resolve
+// routine (fix every integer variable to a target, re-solve the
+// continuous LP, offer the result as an incumbent) serves both the
+// optional integer warm start (the paper's §3.2 "warm-start to feed
+// potential feasible solutions to ILP solvers"; targets round(start_j))
+// and the rounding heuristic that finds incumbents early, at the root
+// and every 20 nodes (targets ceil(x_j - tol)). The integrality
+// tolerance (1e-6), that interval and the simplex options of every LP
+// are fixed, except that every LP stops on the MILP's deadline. This is
+// the role Gurobi's MIP engine plays in the paper; the pruned
+// second-stage NeuroPlan ILPs and the exact/heuristic baselines all run
+// through it.
 #pragma once
 
 #include <vector>
 
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
+#include "util/deadline.hpp"
 
 namespace np::milp {
 
@@ -34,11 +37,11 @@ const char* to_string(MilpStatus status);
 struct MilpOptions {
   /// Stop when (incumbent - bound) / max(1, |incumbent|) <= gap.
   double relative_gap = 1e-6;
-  double time_limit_seconds = lp::kInfinity;
+  /// Wall-clock deadline for the whole solve (default unlimited). An
+  /// expired deadline ends it with kTimeLimit and whatever incumbent it
+  /// has, including one from the warm start.
+  util::Deadline deadline{};
   long max_nodes = 1000000;
-  /// Run the fix-integers-and-resolve rounding heuristic at the root
-  /// and then every this many nodes (0 disables).
-  int heuristic_interval = 20;
   /// Optional integer-only warm start (size = num_variables; continuous
   /// entries ignored): the solver fixes the integer variables to these
   /// values, re-solves the continuous LP, and accepts the result as the
@@ -54,9 +57,6 @@ struct MilpResult {
   std::vector<double> x;         // incumbent point (when has_incumbent)
   double best_bound = -lp::kInfinity;
   double gap = lp::kInfinity;
-  long nodes_explored = 0;
-  long lp_iterations = 0;
-  double solve_seconds = 0.0;
 };
 
 MilpResult solve(const lp::Model& model, const MilpOptions& options = {});

@@ -45,45 +45,34 @@ void PlanEvaluator::invalidate_scenario(int scenario) {
 
 CheckResult PlanEvaluator::check_scenario(int scenario,
                                           const std::vector<int>& total_units) {
-  const bool aggregate = mode_ != EvaluatorMode::kVanilla;
-  // Each scenario solve gets a fresh deadline so a pathological LP is
-  // bounded both by iterations (lp_options_.max_iterations) and by
-  // wall-clock; an expired budget surfaces as Verdict::kUnknown. The
-  // check-level deadline (serving: the query's end-to-end budget)
-  // tightens the per-scenario budget when it expires sooner.
+  // Each scenario solve is bounded by iterations (lp_options_) and by
+  // the earlier of its own budget and the check's deadline (serving: the
+  // query's); an expired one surfaces as Verdict::kUnknown.
   lp::SimplexOptions options = lp_options_;
-  if (scenario_budget_seconds_ > 0.0) {
-    options.deadline = util::Deadline::after_seconds(scenario_budget_seconds_);
-    if (!check_deadline_.is_unlimited() &&
-        check_deadline_.remaining_seconds() < scenario_budget_seconds_) {
-      options.deadline = check_deadline_;
-    }
-  } else {
-    options.deadline = check_deadline_;
+  options.deadline = util::Deadline::earliest(
+      check_deadline_, util::Deadline::after_seconds(scenario_budget_seconds_));
+  // kStateful keeps the model for the next check and warm-starts it;
+  // the other modes build one for this solve only.
+  const bool stateful = mode_ == EvaluatorMode::kStateful;
+  const bool aggregate = mode_ != EvaluatorMode::kVanilla;
+  std::optional<ScenarioLp> local;
+  std::optional<ScenarioLp>& scenario_lp = stateful ? cached_[scenario] : local;
+  if (!scenario_lp.has_value()) {
+    scenario_lp = build_scenario_lp(topology_, scenario, aggregate);
+  }
+  set_plan_capacities(*scenario_lp, topology_, total_units);
+  // A solve that dies (injected fault, contract violation, solver
+  // error) names its scenario, so a caller can retry cold or
+  // quarantine it. The model is dropped first: the retry starts from a
+  // fresh one, never the state that just failed.
+  ScenarioCheck check;
+  try {
+    check = solve_scenario(*scenario_lp, options, /*warm=*/stateful);
+  } catch (const std::exception& e) {
+    scenario_lp.reset();
+    throw ScenarioError(scenario, e.what());
   }
   CheckResult result;
-  ScenarioCheck check;
-  if (mode_ == EvaluatorMode::kStateful) {
-    if (!cached_[scenario].has_value()) {
-      cached_[scenario] = build_scenario_lp(topology_, scenario, aggregate);
-    }
-    ScenarioLp& lp = *cached_[scenario];
-    set_plan_capacities(lp, topology_, total_units);
-    // A solve that dies (injected fault, contract violation, solver
-    // error) names its scenario, so a caller can retry cold or
-    // quarantine it. The cache entry is dropped first: the retry starts
-    // from a fresh model, never the state that just failed.
-    try {
-      check = solve_scenario(lp, options, /*warm=*/true);
-    } catch (const std::exception& e) {
-      cached_[scenario].reset();
-      throw ScenarioError(scenario, e.what());
-    }
-  } else {
-    ScenarioLp lp = build_scenario_lp(topology_, scenario, aggregate);
-    set_plan_capacities(lp, topology_, total_units);
-    check = solve_scenario(lp, options, /*warm=*/false);
-  }
   result.feasible = check.feasible;
   result.verdict = check.verdict;
   result.deadline_hits = check.deadline_hit ? 1 : 0;
@@ -132,7 +121,7 @@ CheckResult PlanEvaluator::check(const std::vector<int>& total_units) {
     // The check-level deadline bounds the whole loop, not just each
     // solve: once it expires the remaining scenarios are unproven and
     // the check returns kUnknown partial results immediately.
-    if (!check_deadline_.is_unlimited() && check_deadline_.expired()) {
+    if (check_deadline_.expired()) {
       aggregate.feasible = false;
       aggregate.verdict = Verdict::kUnknown;
       aggregate.violated_scenario = scenario;

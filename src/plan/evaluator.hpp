@@ -39,12 +39,12 @@ namespace np::plan {
 
 enum class EvaluatorMode { kVanilla, kSourceAggregation, kStateful };
 
-/// Thrown by kStateful checks when one scenario's solve dies on an
+/// Thrown by a check in any mode when one scenario's solve dies on an
 /// exception (injected fault, contract violation, solver error): the
 /// failing scenario id rides along so a serving layer can retry cold or
 /// quarantine exactly that scenario instead of the whole query. The
-/// scenario's cached model is dropped before the throw, so the next
-/// attempt rebuilds it from scratch.
+/// scenario's model is dropped before the throw, so the next attempt
+/// rebuilds it from scratch.
 class ScenarioError : public std::runtime_error {
  public:
   ScenarioError(int scenario, const std::string& cause)
@@ -100,12 +100,13 @@ class PlanEvaluator {
   /// deadline on top, so one pathological scenario cannot stall a
   /// check. A solve that hits the budget reports Verdict::kUnknown and
   /// the check degrades conservatively (scenario treated as failed).
-  void set_scenario_budget(double seconds) { scenario_budget_seconds_ = seconds; }
-  double scenario_budget_seconds() const { return scenario_budget_seconds_; }
+  void set_scenario_budget(double seconds) {
+    scenario_budget_seconds_ = seconds > 0.0 ? seconds : lp::kInfinity;
+  }
 
-  /// Absolute wall-clock deadline for the *whole* check: propagated into
-  /// every scenario solve's SimplexOptions::deadline (tightened against
-  /// the per-scenario budget), and tested between scenarios — an expired
+  /// Absolute wall-clock deadline for the *whole* check: each scenario
+  /// solve's SimplexOptions::deadline is the earlier of it and the
+  /// per-scenario budget, and it is tested between scenarios — an expired
   /// deadline ends the check with Verdict::kUnknown partial results
   /// instead of blocking. Default-constructed = unlimited. The deadline
   /// persists across check() calls; serving callers set a fresh one per
@@ -140,9 +141,9 @@ class PlanEvaluator {
   const topo::Topology& topology_;
   EvaluatorMode mode_;
   lp::SimplexOptions lp_options_;
-  double scenario_budget_seconds_ = 0.0;  ///< <= 0 = unlimited
-  util::Deadline check_deadline_;         ///< default = unlimited
-  std::vector<int> quarantined_;          ///< scenario ids to skip
+  double scenario_budget_seconds_ = lp::kInfinity;  ///< +inf = unlimited
+  util::Deadline check_deadline_;                   ///< default = unlimited
+  std::vector<int> quarantined_;                    ///< scenario ids to skip
   /// Lazily built, patched models (kStateful only).
   std::vector<std::optional<ScenarioLp>> cached_;
   /// kStateful: the previous check's units. Every scenario below

@@ -240,17 +240,16 @@ Reply Engine::process_check(const Task& task, plan::PlanEvaluator& evaluator,
       ++reply.retries;
       n_retries_.fetch_add(1, std::memory_order_relaxed);
       instruments().retries.add(1);
-      double backoff_ms = config_.retry_backoff_ms * (0.5 + rng.uniform());
-      if (!task.deadline.is_unlimited()) {
-        backoff_ms = std::min(
-            backoff_ms, std::max(0.0, task.deadline.remaining_seconds() * 1e3));
-      }
+      // Never back off past the deadline (+inf when unlimited).
+      const double backoff_ms =
+          std::min(config_.retry_backoff_ms * (0.5 + rng.uniform()),
+                   task.deadline.remaining_seconds() * 1e3);
       if (backoff_ms > 0.0) {
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(backoff_ms));
       }
     }
-    if (!task.deadline.is_unlimited() && task.deadline.expired()) {
+    if (task.deadline.expired()) {
       obs::fr_record(obs::FrEventKind::kDeadlineHit, "serve.query",
                      task.request.id);
       fill_degraded(reply, "deadline");

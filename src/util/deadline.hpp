@@ -5,11 +5,12 @@
 // unlimited and costs a single branch to test, so plumbing it through
 // hot paths is free for callers that never set one.
 //
-// Deadlines compose with the per-solve `time_limit_seconds` budget the
-// simplex already honors: the solver stops at whichever bound trips
-// first and reports SolveStatus::kTimeLimit either way.
+// It is the only time bound below the planners' "seconds" settings:
+// each planner converts its budget once, every solve under it tests
+// that deadline, and two budgets combine through earliest().
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 
@@ -24,16 +25,28 @@ class Deadline {
 
   /// Expires `seconds` of wall clock from now. Non-positive budgets
   /// produce an already-expired deadline (callers treat "no budget
-  /// left" uniformly).
+  /// left" uniformly). A budget the clock cannot represent (+inf, NaN,
+  /// or more than half the clock's range) is unlimited and reads no
+  /// clock: converting it would overflow.
   static Deadline after_seconds(double seconds) {
+    constexpr double kRepresentable =
+        0.5 * std::chrono::duration<double>(Clock::duration::max()).count();
+    if (!(seconds < kRepresentable)) return unlimited();
     Deadline d;
     d.unlimited_ = false;
     d.at_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(seconds));
+                               std::chrono::duration<double>(std::max(seconds, 0.0)));
     return d;
   }
 
   static Deadline unlimited() { return Deadline(); }
+
+  /// The sooner of two deadlines; unlimited is the neutral element.
+  static Deadline earliest(const Deadline& a, const Deadline& b) {
+    if (a.unlimited_) return b;
+    if (b.unlimited_) return a;
+    return b.at_ < a.at_ ? b : a;
+  }
 
   bool is_unlimited() const { return unlimited_; }
 

@@ -297,6 +297,25 @@ TEST_F(FaultTest, LpRefactorFaultInAnEnvStepThrowsScenarioError) {
   EXPECT_EQ(env.total_units(), twin.total_units());
 }
 
+TEST_F(FaultTest, LpRefactorFaultInACheckOnceThrowsScenarioError) {
+  if (!NP_FAULTS_ENABLED) GTEST_SKIP() << "built without NEUROPLAN_FAULTS";
+  const topo::Topology t = topo::make_preset('A');
+  const std::vector<int> units = t.initial_units();
+  // A lone check builds each scenario's model for one solve; the first
+  // scenario's first refactorization dies, and the error names it, as
+  // in the stateful check above.
+  FaultInjector::instance().arm("lp.refactor", FaultSpec{0.0, 1});
+  try {
+    (void)plan::check_once(t, units);
+    ADD_FAILURE() << "the injected fault did not surface";
+  } catch (const plan::ScenarioError& e) {
+    EXPECT_EQ(e.scenario(), plan::kHealthyScenario);
+    EXPECT_NE(std::string(e.what()).find("lp.refactor"), std::string::npos);
+  }
+  FaultInjector::instance().disarm_all();
+  EXPECT_NO_THROW((void)plan::check_once(t, units));
+}
+
 TEST_F(FaultTest, RolloutStepFaultAbortsEpochAndTrainerRecovers) {
   if (!NP_FAULTS_ENABLED) GTEST_SKIP() << "built without NEUROPLAN_FAULTS";
   const topo::Topology t = topo::make_preset('A');

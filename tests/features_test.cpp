@@ -19,11 +19,11 @@ namespace {
 
 TEST(Decomposition, ProducesFeasiblePlan) {
   topo::Topology t = topo::make_preset('B');
-  core::DecompositionConfig config;
-  config.regional.time_limit_per_solve_seconds = 20.0;
-  config.regional.total_time_limit_seconds = 60.0;
-  config.regional.relative_gap = 1e-2;
-  const core::DecompositionResult r = core::solve_region_decomposition(t, config);
+  core::LazySolveConfig regional;
+  regional.time_limit_per_solve_seconds = 20.0;
+  regional.total_time_limit_seconds = 60.0;
+  regional.relative_gap = 1e-2;
+  const core::DecompositionResult r = core::solve_region_decomposition(t, regional);
   ASSERT_TRUE(r.plan.feasible) << r.plan.detail;
   EXPECT_EQ(r.regions, 2);
   EXPECT_TRUE(core::verify_result(t, r.plan).feasible);
@@ -40,14 +40,6 @@ TEST(Decomposition, NoWorseThanGreedyEverywhere) {
   ASSERT_TRUE(r.plan.feasible);
   ASSERT_TRUE(greedy.feasible);
   EXPECT_LE(r.plan.cost, 2.0 * greedy.cost);
-}
-
-TEST(Decomposition, CoarseUnitsSupported) {
-  topo::Topology t = topo::make_preset('A');
-  core::DecompositionConfig config;
-  config.unit_multiplier = 4;
-  const core::DecompositionResult r = core::solve_region_decomposition(t, config);
-  EXPECT_TRUE(r.plan.feasible);
 }
 
 // ---- checkpoints ----

@@ -43,7 +43,7 @@ TEST_P(EvaluatorFormulationEquivalence, VerdictsAgree) {
   options.max_added_units = added;
   plan::PlanningMilp milp(t, options);
   milp::MilpOptions milp_options;
-  milp_options.time_limit_seconds = 60.0;
+  milp_options.deadline = util::Deadline::after_seconds(60.0);
   const milp::MilpResult solved = milp::solve(milp.model(), milp_options);
   const bool milp_verdict = solved.status == milp::MilpStatus::kOptimal;
   EXPECT_EQ(evaluator_verdict, milp_verdict) << "seed " << GetParam();

@@ -8,6 +8,7 @@
 #include "plan/evaluator.hpp"
 #include "topo/generator.hpp"
 #include "topo/paths.hpp"
+#include "util/deadline.hpp"
 
 namespace np::core {
 namespace {
@@ -18,7 +19,7 @@ TEST(LazySolve, MatchesFullIlpOptimumOnPresetA) {
   plan::FormulationOptions full;
   plan::PlanningMilp milp(t, full);
   milp::MilpOptions mo;
-  mo.time_limit_seconds = 120.0;
+  mo.deadline = util::Deadline::after_seconds(120.0);
   const milp::MilpResult exact = milp::solve(milp.model(), mo);
   ASSERT_EQ(exact.status, milp::MilpStatus::kOptimal);
 

@@ -11,6 +11,7 @@
 
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
+#include "util/deadline.hpp"
 #include "util/rng.hpp"
 
 namespace np::lp {
@@ -382,7 +383,7 @@ TEST(Simplex, TimeLimitReported) {
   const int x = m.add_variable(0.0, kInfinity, -1.0);
   m.add_row(-kInfinity, 10.0, {{x, 1.0}});
   SimplexOptions options;
-  options.time_limit_seconds = 0.0;
+  options.deadline = util::Deadline::after_seconds(0.0);  // already expired
   EXPECT_EQ(solve(m, options).status, SolveStatus::kTimeLimit);
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "milp/branch_and_bound.hpp"
+#include "util/deadline.hpp"
 #include "util/rng.hpp"
 
 namespace np::milp {
@@ -93,7 +94,7 @@ TEST(Milp, TimeLimitKeepsIncumbent) {
   // Jeroslow's knapsack: 2·(x_1 + ... + x_n) <= n with n odd. Its
   // optimum takes (n-1)/2 items, but the LP bound stays half an item
   // better at every node that leaves a variable free, so proving
-  // optimality takes exponentially many nodes. The time limit stops the
+  // optimality takes exponentially many nodes. The deadline stops the
   // search with the integer warm start, already optimal, as incumbent.
   constexpr int kItems = 31;
   lp::Model m;
@@ -105,12 +106,27 @@ TEST(Milp, TimeLimitKeepsIncumbent) {
   std::vector<double> start(kItems, 0.0);
   for (int j = 0; j < kItems / 2; ++j) start[j] = 1.0;
   MilpOptions options;
-  options.time_limit_seconds = 0.1;
+  options.deadline = util::Deadline::after_seconds(0.1);
   options.integer_warm_start = &start;
   MilpResult r = np::milp::solve(m, options);
   EXPECT_EQ(r.status, MilpStatus::kTimeLimit);
   EXPECT_TRUE(r.has_incumbent);
   EXPECT_NEAR(r.objective, -(kItems / 2), 1e-9);
+}
+
+TEST(Milp, WarmStartLpStopsOnTheMilpDeadline) {
+  // The integer warm start alone would give an incumbent; its LP runs
+  // under the MILP's deadline, so an expired one leaves none.
+  lp::Model m;
+  const int x = add_integer(m, 0.0, 10.0, -1.0);
+  m.add_row(-kInfinity, 4.5, {{x, 1.0}});
+  const std::vector<double> start{2.0};
+  MilpOptions options;
+  options.deadline = util::Deadline::after_seconds(0.0);
+  options.integer_warm_start = &start;
+  const MilpResult r = np::milp::solve(m, options);
+  EXPECT_EQ(r.status, MilpStatus::kTimeLimit);
+  EXPECT_FALSE(r.has_incumbent);
 }
 
 TEST(Milp, NodeLimitReported) {
@@ -125,7 +141,6 @@ TEST(Milp, NodeLimitReported) {
   m.add_row(-kInfinity, 5.0, std::move(coeffs));
   MilpOptions options;
   options.max_nodes = 1;
-  options.heuristic_interval = 0;
   MilpResult r = np::milp::solve(m, options);
   EXPECT_TRUE(r.status == MilpStatus::kNodeLimit || r.status == MilpStatus::kOptimal);
 }

@@ -424,7 +424,7 @@ TEST(Formulation, PresetAIsSolvableAndEvaluatorConsistent) {
   topo::Topology t = topo::make_preset('A');
   PlanningMilp milp(t, {});
   milp::MilpOptions options;
-  options.time_limit_seconds = 60.0;
+  options.deadline = util::Deadline::after_seconds(60.0);
   milp::MilpResult r = milp::solve(milp.model(), options);
   ASSERT_TRUE(r.has_incumbent);
   const std::vector<int> added = milp.extract_added_units(r.x);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -320,6 +321,32 @@ TEST(Deadline, ExpiresAfterElapsedWallClock) {
   while (std::chrono::steady_clock::now() < until) {}
   EXPECT_TRUE(d.expired());
   EXPECT_EQ(d.remaining_seconds(), 0.0);
+}
+
+TEST(Deadline, EarliestIsTheSoonerAndUnlimitedIsNeutral) {
+  const util::Deadline soon = util::Deadline::after_seconds(0.0);
+  const util::Deadline late = util::Deadline::after_seconds(3600.0);
+  const util::Deadline none;
+  EXPECT_TRUE(util::Deadline::earliest(soon, late).expired());
+  EXPECT_TRUE(util::Deadline::earliest(late, soon).expired());
+  EXPECT_GT(util::Deadline::earliest(late, none).remaining_seconds(), 3500.0);
+  EXPECT_GT(util::Deadline::earliest(none, late).remaining_seconds(), 3500.0);
+  EXPECT_TRUE(util::Deadline::earliest(none, soon).expired());
+  EXPECT_TRUE(util::Deadline::earliest(none, none).is_unlimited());
+}
+
+TEST(Deadline, UnrepresentableBudgetIsUnlimited) {
+  // Converting these to clock ticks would overflow the clock's range.
+  for (const double seconds : {std::numeric_limits<double>::infinity(), 1e300,
+                               std::numeric_limits<double>::max()}) {
+    const util::Deadline d = util::Deadline::after_seconds(seconds);
+    EXPECT_TRUE(d.is_unlimited()) << seconds;
+    EXPECT_FALSE(d.expired()) << seconds;
+  }
+  // Ten years is representable and stays a real deadline.
+  EXPECT_FALSE(util::Deadline::after_seconds(3.2e8).is_unlimited());
+  EXPECT_TRUE(util::Deadline::after_seconds(
+                  -std::numeric_limits<double>::infinity()).expired());
 }
 
 // The annotated wrappers behind every lock in the codebase. These run
